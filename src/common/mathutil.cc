@@ -11,7 +11,11 @@ namespace srs
 double
 logFactorial(std::uint64_t n)
 {
-    return std::lgamma(static_cast<double>(n) + 1.0);
+    // lgamma_r, not std::lgamma: the latter stores the sign in glibc's
+    // global signgam, a data race when security workers call this
+    // concurrently.  The argument is >= 1, so the sign is always +.
+    int sign = 0;
+    return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double

@@ -39,8 +39,10 @@ Options::fromArgs(int argc, const char *const *argv)
         }
         const std::string body = tok.substr(2);
         const std::size_t eq = body.find('=');
+        // Assigning a std::string, not the literal, sidesteps a GCC 12
+        // false -Wrestrict on the inlined operator=(const char *).
         if (eq == std::string::npos)
-            opts.values_[body] = "1";
+            opts.values_[body] = std::string("1");
         else
             opts.values_[body.substr(0, eq)] = body.substr(eq + 1);
     }

@@ -15,52 +15,6 @@
 namespace srs
 {
 
-/** Running scalar summary: count, sum, min, max, mean, variance. */
-class RunningStat
-{
-  public:
-    /** Fold one sample into the summary. */
-    void add(double x);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const;
-    /** Sample variance (n-1 denominator); 0 with fewer than 2 samples. */
-    double variance() const;
-    double stddev() const;
-    double min() const;
-    double max() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double m2_ = 0.0;   // Welford accumulator
-    double mean_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Sparse integer histogram keyed by bucket value. */
-class Histogram
-{
-  public:
-    /** Count one occurrence of @p key. */
-    void add(std::uint64_t key, std::uint64_t weight = 1);
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t countOf(std::uint64_t key) const;
-    /** Largest key observed; 0 when empty. */
-    std::uint64_t maxKey() const;
-    const std::map<std::uint64_t, std::uint64_t> &buckets() const
-    {
-        return buckets_;
-    }
-
-  private:
-    std::map<std::uint64_t, std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-};
-
 /**
  * Fixed-bucket log-scale latency histogram for tail percentiles.
  *
@@ -69,9 +23,8 @@ class Histogram
  * relative bucket width is at most 1/8 across the whole 64-bit range
  * while the array stays a flat 496 counters.  Everything is integer
  * arithmetic on a fixed layout, which is what makes the histogram
- * safe for byte-identity contracts: merging per-core or per-shard
- * histograms is a commutative counter add, equality is memberwise,
- * and quantiles are derived values that never feed back into state.
+ * safe for byte-identity contracts: equality is memberwise, and
+ * quantiles are derived values that never feed back into state.
  *
  * quantilePermille() reports the q-th percentile as the inclusive
  * upper bound of the first bucket whose cumulative count reaches
@@ -90,9 +43,6 @@ class LatencyHistogram
 
     /** Count one sample of @p value (e.g. a read latency in cycles). */
     void add(std::uint64_t value, std::uint64_t weight = 1);
-
-    /** Fold another histogram in (commutative counter add). */
-    void merge(const LatencyHistogram &other);
 
     std::uint64_t total() const { return total_; }
 
@@ -158,15 +108,6 @@ class StatSet
 
     /** @return counter value; 0 when never touched. */
     std::uint64_t get(const std::string &name) const;
-
-    /**
-     * Fold @p other in: every counter of @p other is added to the
-     * same-named counter here (interned at zero when new).  A
-     * commutative counter add, so folding per-channel shards into an
-     * aggregate in any fixed order yields identical values — the
-     * same byte-identity argument as LatencyHistogram::merge().
-     */
-    void merge(const StatSet &other);
 
     /** Materialized name -> value view of every registered counter. */
     std::map<std::string, std::uint64_t> all() const;

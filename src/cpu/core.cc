@@ -26,31 +26,10 @@ Core::tick(Cycle now)
     }
 
     // Fetch.
-    std::uint32_t fetched = 0;
-    bool rejected = false;
     for (std::uint32_t f = 0; f < cfg_.fetchWidth; ++f) {
-        if (rob_.size() >= cfg_.robSize)
+        if (rob_.size() >= cfg_.robSize || !fetchOne(now))
             break;
-        if (!fetchOne(now)) {
-            rejected = true;
-            break;
-        }
-        ++fetched;
     }
-
-    // Wake policy.  Any progress — and any structural reject, since a
-    // queue slot (or a forwardable posted write) can appear on the
-    // very next cycle — demands a tick next cycle.  Otherwise the ROB
-    // was full with an unretirable head, and every cycle until the
-    // head completes is provably a no-op: nothing can retire in
-    // order, the full ROB blocks fetch, and the trace source is
-    // untouched.
-    if (retiredNow > 0 || fetched > 0 || rejected || rob_.empty()) {
-        wakeAt_ = now + 1;
-        return;
-    }
-    const Cycle headDone = rob_.front().doneAt;
-    wakeAt_ = headDone == kNoCycle ? kNoCycle : headDone;
 }
 
 bool
@@ -111,9 +90,6 @@ Core::complete(std::uint64_t token, Cycle now)
             SRS_ASSERT(e.doneAt == kNoCycle, "double completion");
             e.doneAt = now;
             e.token = 0;
-            // A sleeping core can retire this entry (head) or resume
-            // fetch next cycle; re-arm the wake.
-            wakeAt_ = now + 1;
             return;
         }
     }

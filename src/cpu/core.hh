@@ -85,17 +85,6 @@ class Core
     /** Complete the in-flight read tagged @p token. */
     void complete(std::uint64_t token, Cycle now);
 
-    /**
-     * Earliest cycle at which ticking this core is not provably a
-     * no-op; maintained by tick()/complete().  While the ROB is full
-     * and nothing can retire, the core sleeps until its head entry's
-     * completion cycle — kNoCycle when the head is a pending read, in
-     * which case complete() re-arms the wake.  The event-driven run
-     * loop uses this so stalled cores cost zero ticks; ticking a
-     * sleeping core anyway is always safe (the tick is a no-op).
-     */
-    Cycle nextEventAt() const { return wakeAt_; }
-
     CoreId id() const { return id_; }
     std::uint64_t retiredInstrs() const { return retired_; }
     std::uint64_t memReads() const { return memReads_; }
@@ -126,7 +115,6 @@ class Core
     bool memOpPendingIssue_ = false;///< record's mem op awaiting issue
 
     std::uint64_t nextToken_ = 1;
-    Cycle wakeAt_ = 0;
     std::uint64_t retired_ = 0;
     std::uint64_t memReads_ = 0;
     std::uint64_t memWrites_ = 0;

@@ -221,7 +221,8 @@ FarmDispatcher::run(std::ostream &mergedOut)
         ++restarts_;
         ++states_[k].restarts;
         live[k].state = ShardState::Pending;
-        live[k].host = "-";
+        // std::string, not the literal: GCC 12 false -Wrestrict.
+        live[k].host = std::string("-");
         std::fprintf(stderr,
                      "farm: shard %zu failed (%s), relaunching from "
                      "its journal (attempt %zu/%zu)\n",

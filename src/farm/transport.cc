@@ -70,8 +70,10 @@ SshTransport::launch(const std::vector<std::string> &argv,
     // over).
     std::string remote = "mkdir -p " + shellQuote(workdir_) + " && cd "
                          + shellQuote(workdir_) + " && exec";
-    for (const std::string &arg : argv)
-        remote += " " + shellQuote(arg);
+    for (const std::string &arg : argv) {
+        remote += ' ';
+        remote += shellQuote(arg);
+    }
     return spawnProcess({"/usr/bin/ssh", "-o", "BatchMode=yes", "-tt",
                          host_, remote},
                         logPath);

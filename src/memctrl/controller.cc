@@ -22,47 +22,6 @@ migrationKindName(MigrationJob::Kind kind)
     return "?";
 }
 
-namespace
-{
-
-/**
- * Intern every controller counter into @p s in one fixed order, so
- * the controller-wide set and each channel shard assign identical
- * handles and the single StatHandles struct indexes them all.
- */
-void
-internCounters(StatSet &s)
-{
-    s.handle("writes_enqueued");
-    s.handle("reads_forwarded");
-    s.handle("reads_enqueued");
-    s.handle("reads_completed");
-    s.handle("read_latency_cycles");
-    s.handle("refreshes");
-    s.handle("forced_precharges");
-    s.handle("latent_activations");
-    s.handle("migration_busy_cycles");
-    s.handle("writes_issued");
-    s.handle("reads_issued");
-    s.handle("row_hits");
-    s.handle("row_conflicts");
-    s.handle("activations");
-    s.handle("idle_closes");
-    s.handle("p2_skip_busy");
-    s.handle("p2_skip_forced");
-    s.handle("p2_skip_hit_wait");
-    s.handle("p2_skip_pre_wait");
-    s.handle("p2_skip_act_wait");
-    s.handle("p2_skip_throttled");
-    for (int k = 0; k < 4; ++k) {
-        const auto kind = static_cast<MigrationJob::Kind>(k);
-        s.handle(std::string("mig_scheduled_") + migrationKindName(kind));
-        s.handle(std::string("mig_started_") + migrationKindName(kind));
-    }
-}
-
-} // namespace
-
 MemoryController::MemoryController(const DramOrg &org,
                                    const DramTiming &timing,
                                    const MemCtrlConfig &cfg)
@@ -86,10 +45,8 @@ MemoryController::MemoryController(const DramOrg &org,
         // Tombstones let a queue exceed its live depth briefly.
         c.readQ.reserve(cfg_.readQueueDepth + kCompactThreshold + 1);
         c.writeQ.reserve(cfg_.writeQueueDepth + kCompactThreshold + 1);
-        internCounters(c.stats);
     }
 
-    internCounters(stats_);
     h_.writesEnqueued = stats_.handle("writes_enqueued");
     h_.readsForwarded = stats_.handle("reads_forwarded");
     h_.readsEnqueued = stats_.handle("reads_enqueued");
@@ -118,11 +75,6 @@ MemoryController::MemoryController(const DramOrg &org,
         h_.migStarted[k] = stats_.handle(
             std::string("mig_started_") + migrationKindName(kind));
     }
-
-    const std::uint32_t workers =
-        std::min(cfg_.channelWorkers, org_.channels);
-    if (workers > 1)
-        pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 std::uint32_t
@@ -245,46 +197,9 @@ MemoryController::drainCompletedReads(ChannelState &c, Cycle now)
 void
 MemoryController::tick(Cycle now)
 {
-    // Phase A (serial): deliver completed reads, channel by channel
-    // in index order.  Completion effects commute across distinct
-    // requests (each wakes its own core token; the latency histogram
-    // and counters are commutative adds), so draining per channel is
-    // state-identical to draining one global completion queue — and
-    // gives the parallel phase fully channel-private queues.
-    for (auto &c : channels_)
-        drainCompletedReads(c, now);
-
-    // Phase B: per-channel scheduling.  Channels share no mutable
-    // state here — queues, banks, migration jobs and the statistics
-    // shard are all channel-private, listener notifications are
-    // deferred, and the remaining listener queries are read-only or
-    // per-channel unless the listener opts out.
-    if (pool_ != nullptr &&
-        (listener_ == nullptr ||
-         listener_->concurrentChannelQueriesSafe())) {
-        for (std::uint32_t ch = 0; ch < channels_.size(); ++ch)
-            pool_->submit([this, ch, now] { tickChannel(ch, now); });
-        pool_->wait();
-    } else {
-        for (std::uint32_t ch = 0; ch < channels_.size(); ++ch)
-            tickChannel(ch, now);
-    }
-
-    // Phase C (serial): replay deferred activations in channel order
-    // — the order the serial loop would have fired them — so the
-    // mitigation's trackers, RNG draws and migration scheduling see
-    // one deterministic sequence at any worker count.
     for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
-        ChannelState &c = channels_[ch];
-        if (!c.deferredAct.valid)
-            continue;
-        const DeferredAct act = c.deferredAct;
-        c.deferredAct = DeferredAct{};
-        listener_->onActivate(ch, act.flat, act.phys, now);
-        // The mitigation may have remapped rows; refresh the cached
-        // translation of the request whose ACT triggered it.
-        invalidateReqCache(c, *act.req);
-        physRowOf(ch, c, *act.req);
+        drainCompletedReads(channels_[ch], now);
+        tickChannel(ch, now);
     }
 }
 
@@ -306,7 +221,7 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
             // refresh never disturbs the open-row mirror.
             rank.refresh(now);
             --debt;
-            c.stats.inc(h_.refreshes);
+            stats_.inc(h_.refreshes);
             return true;
         }
         if (debt >= cfg_.maxPostponedRefreshes) {
@@ -315,7 +230,7 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
                 if (rank.bank(b).rowOpen() &&
                     rank.canIssue(DramCommand::Precharge, b, 0, now)) {
                     issueCmd(c, ri, DramCommand::Precharge, b, 0, now);
-                    c.stats.inc(h_.forcedPrecharges);
+                    stats_.inc(h_.forcedPrecharges);
                     return true;
                 }
             }
@@ -358,10 +273,10 @@ MemoryController::startMigration(std::uint32_t chIdx, ChannelState &c,
         bank.blockFor(now, job.duration);
         for (const RowCharge &charge : job.charges) {
             bank.chargeActivation(charge.row, charge.count);
-            c.stats.inc(h_.latentActivations, charge.count);
+            stats_.inc(h_.latentActivations, charge.count);
         }
-        c.stats.inc(h_.migStarted[static_cast<int>(job.kind)]);
-        c.stats.inc(h_.migrationBusyCycles, job.duration);
+        stats_.inc(h_.migStarted[static_cast<int>(job.kind)]);
+        stats_.inc(h_.migrationBusyCycles, job.duration);
         return true;
     }
     return false;
@@ -551,10 +466,10 @@ MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
             const Cycle done = issueCmd(c, ri, cas, bi, phys, now,
                                         /*autoPre=*/false);
             if (isWrite) {
-                c.stats.inc(h_.writesIssued);
+                stats_.inc(h_.writesIssued);
             } else {
-                c.stats.inc(h_.readsIssued);
-                c.stats.inc(h_.rowHits);
+                stats_.inc(h_.readsIssued);
+                stats_.inc(h_.rowHits);
                 MemRequest finished = req;
                 finished.completion = done;
                 c.pendingReads.push({done, finished});
@@ -593,15 +508,15 @@ MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
     std::uint64_t nActWait = 0;
     const auto flushSkips = [&]() {
         if (nBusy > 0)
-            c.stats.inc(h_.p2SkipBusy, nBusy);
+            stats_.inc(h_.p2SkipBusy, nBusy);
         if (nForced > 0)
-            c.stats.inc(h_.p2SkipForced, nForced);
+            stats_.inc(h_.p2SkipForced, nForced);
         if (nHitWait > 0)
-            c.stats.inc(h_.p2SkipHitWait, nHitWait);
+            stats_.inc(h_.p2SkipHitWait, nHitWait);
         if (nPreWait > 0)
-            c.stats.inc(h_.p2SkipPreWait, nPreWait);
+            stats_.inc(h_.p2SkipPreWait, nPreWait);
         if (nActWait > 0)
-            c.stats.inc(h_.p2SkipActWait, nActWait);
+            stats_.inc(h_.p2SkipActWait, nActWait);
     };
     for (std::size_t i = 0; i < q.size(); ++i) {
         MemRequest &req = q[i];
@@ -656,7 +571,7 @@ MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
             }
             if (rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
                 issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-                c.stats.inc(h_.rowConflicts);
+                stats_.inc(h_.rowConflicts);
                 flushSkips();
                 return true;
             }
@@ -673,20 +588,18 @@ MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
         }
         if (listener_ != nullptr &&
             listener_->actAllowedAt(chIdx, flat, phys, now) > now) {
-            c.stats.inc(h_.p2SkipThrottled);
+            stats_.inc(h_.p2SkipThrottled);
             continue;
         }
         issueCmd(c, ri, DramCommand::Activate, bi, phys, now);
-        c.stats.inc(h_.activations);
+        stats_.inc(h_.activations);
         flushSkips();
         if (listener_) {
-            // Notify in the serial phase-C sweep of tick(), not here:
-            // the mitigation feeds shared trackers and draws RNG, so
-            // the callback must fire in fixed channel order.  Nothing
-            // else in this channel's tick consults the mitigation
-            // after this point (we return immediately), so deferral
-            // is exactly equivalent to the former inline call.
-            c.deferredAct = DeferredAct{true, flat, phys, &req};
+            listener_->onActivate(chIdx, flat, phys, now);
+            // The mitigation may have remapped rows; refresh the
+            // cached translation of the request that opened this one.
+            invalidateReqCache(c, req);
+            physRowOf(chIdx, c, req);
         }
         return true;
     }
@@ -735,7 +648,7 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
         if (!rank.canIssue(DramCommand::Precharge, bi, 0, now))
             continue;
         issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-        c.stats.inc(h_.idleCloses);
+        stats_.inc(h_.idleCloses);
         c.closeCursor = (flat + 1) % banks;
         return true;
     }
@@ -810,54 +723,6 @@ MemoryController::idle(Cycle now) const
         }
     }
     return true;
-}
-
-Cycle
-MemoryController::nextEventAt(Cycle now) const
-{
-    Cycle next = kNoCycle;
-    for (const auto &c : channels_) {
-        // A queued completion bounds the next effect; any live
-        // request, pending migration, owed refresh, or — under the
-        // closed-page policy — an open bank means the channel can
-        // act (or count a p2_skip_* stat) on the very next bus edge.
-        // Early-returning now + 1 below is safe alongside this: it is
-        // the smallest value any channel could contribute.
-        if (!c.pendingReads.empty()) {
-            next = std::min(next,
-                            std::max(c.pendingReads.top().done, now + 1));
-        }
-        if (liveReads(c) > 0 || liveWrites(c) > 0 || c.migCount > 0)
-            return now + 1;
-        bool debtPending = false;
-        for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
-            if (c.refreshDebt[ri] > 0) {
-                debtPending = true;
-                break;
-            }
-        }
-        if (debtPending)
-            return now + 1;
-        if (cfg_.pagePolicy == PagePolicy::Closed && c.openCount > 0)
-            return now + 1;
-        // Fully drained: the next effect is refresh debt accrual.
-        for (const Cycle due : c.nextRefreshDue)
-            next = std::min(next, std::max(due, now + 1));
-    }
-    return next;
-}
-
-const StatSet &
-MemoryController::stats() const
-{
-    // Rebuild the merged view on every call (cold path: tests,
-    // result collection, reporting).  Shards fold in channel order —
-    // commutative adds, so the values are independent of where each
-    // counter was bumped and of the phase-B worker count.
-    mergedStats_ = stats_;
-    for (const auto &c : channels_)
-        mergedStats_.merge(c.stats);
-    return mergedStats_;
 }
 
 } // namespace srs

@@ -10,15 +10,10 @@
  * Hammer mitigations perform swap / unswap-swap / place-back row
  * movements that occupy banks and deposit latent activations.
  *
- * Channels are independent command streams once requests are routed,
- * so tick() is structured as three phases: a serial completion drain
- * in channel order, a per-channel scheduling phase that may fan out
- * across a thread pool (MemCtrlConfig::channelWorkers), and a serial
- * sweep that replays deferred mitigation notifications in channel
- * order.  Every cross-channel effect (read completions, listener
- * callbacks, statistics reduction) happens in one of the serial
- * phases at a fixed channel order, so results are identical at any
- * worker count — parallelism is an optimization, never an axis.
+ * tick() is one serial pass over the channels in index order: each
+ * channel delivers its completed reads, then issues at most one
+ * command, notifying the mitigation inline when that command is an
+ * ACT.
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
@@ -27,12 +22,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "dram/address.hh"
 #include "dram/command.hh"
@@ -87,15 +80,8 @@ class MemCtrlListener
 
     /**
      * Whether remapRow()/actAllowedAt() may be queried from several
-     * channel workers concurrently.  True for listeners whose query
-     * paths only read, or only touch per-(channel, bank) state
-     * (onActivate() is always serialized by the controller, so
-     * mutation there is fine).  Listeners that mutate shared state
-     * while answering queries — BlockHammer's throttle bookkeeping
-     * updates a shared counter inside actAllowedAt() — return false
-     * and the controller falls back to the serial channel loop;
-     * results are identical either way, only the parallel speedup is
-     * forfeited.
+     * threads at once.  Kept for listeners that override it; the
+     * controller is serial and never calls it.
      */
     virtual bool concurrentChannelQueriesSafe() const { return true; }
 };
@@ -109,12 +95,6 @@ struct MemCtrlConfig
     std::uint32_t writeLoWatermark = 24; ///< stop draining
     PagePolicy pagePolicy = PagePolicy::Closed;
     std::uint32_t maxPostponedRefreshes = 8;
-    /**
-     * Worker threads for the per-channel scheduling phase of tick()
-     * (1 = serial; capped at the channel count).  Results are
-     * byte-identical at any value — see the file comment.
-     */
-    std::uint32_t channelWorkers = 1;
 };
 
 /** The full-system memory controller (all channels). */
@@ -149,29 +129,8 @@ class MemoryController
     std::size_t pendingMigrations(std::uint32_t channel,
                                   std::uint32_t bank) const;
 
-    /**
-     * Advance the controller; call once per memory bus clock.
-     *
-     * Three phases: (A) completed reads are drained and delivered in
-     * channel order; (B) every channel schedules commands — in
-     * parallel across the worker pool when channelWorkers > 1 and
-     * the listener's query paths are concurrency-safe; (C) deferred
-     * listener activations (at most one per channel per tick) replay
-     * in channel order.  Phases A and C are the deterministic sync
-     * points that make worker count invisible in the results.
-     */
+    /** Advance the controller; call once per memory bus clock. */
     void tick(Cycle now);
-
-    /**
-     * Earliest cycle (> @p now) at which ticking the controller is
-     * not provably a no-op.  Conservative: whenever any queue holds a
-     * live request, a migration is pending, refresh debt is owed, or
-     * a bank must be idle-closed, this returns now+1 so the event
-     * loop ticks at every bus edge exactly like the reference loop.
-     * With everything drained it jumps to the next tREFI deadline.
-     * @return kNoCycle when no future tick can have any effect
-     */
-    Cycle nextEventAt(Cycle now) const;
 
     /** Reset per-epoch activation ground truth in every bank. */
     void resetEpochCounters();
@@ -186,19 +145,15 @@ class MemoryController
 
     /**
      * Aggregate statistics (acts, reads, writes, migrations...).
-     * Counters touched by the per-channel scheduling phase live in
-     * per-channel shards; this merges them (in channel order) with
-     * the serial-phase counters into a cached view.  The reference
-     * stays valid until the controller is destroyed, but its values
-     * are a snapshot — call again after further ticks.
+     * Every counter is registered at construction, so all() lists
+     * zero-valued ones too.
      */
-    const StatSet &stats() const;
+    const StatSet &stats() const { return stats_; }
 
     /**
      * Read-latency histogram, one sample per completed demand read
      * (arrival to data return, in CPU cycles; write-queue-forwarded
-     * reads land here too, at latency 1).  Identical between the
-     * event-driven and reference loops by construction.
+     * reads land here too, at latency 1).
      */
     const LatencyHistogram &readLatency() const { return readLatency_; }
 
@@ -212,23 +167,6 @@ class MemoryController
         Cycle done;
         MemRequest req;
         bool operator>(const PendingRead &o) const { return done > o.done; }
-    };
-
-    /**
-     * One listener activation recorded during the scheduling phase
-     * and replayed in the serial phase-C sweep of tick().  At most
-     * one per channel per tick: serviceQueue() returns immediately
-     * after issuing the ACT, and nothing else in that channel's tick
-     * consults the mitigation afterwards, so the deferral is exactly
-     * equivalent to the former inline callback.
-     */
-    struct DeferredAct
-    {
-        bool valid = false;
-        std::uint32_t flat = 0;
-        RowId phys = kInvalidRow;
-        /** the request whose translation cache must be refreshed */
-        MemRequest *req = nullptr;
     };
 
     struct ChannelState
@@ -282,15 +220,6 @@ class MemoryController
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
                             std::greater<>> pendingReads;
-        /**
-         * Statistics shard for counters bumped inside tickChannel()
-         * (the possibly-parallel phase).  Interned with the exact
-         * handle order of the controller-wide set, so the shared
-         * StatHandles index both; stats() folds the shards back in.
-         */
-        StatSet stats;
-        /** activation awaiting the phase-C listener sweep */
-        DeferredAct deferredAct;
     };
 
     void drainCompletedReads(ChannelState &c, Cycle now);
@@ -342,13 +271,8 @@ class MemoryController
     MemCtrlListener *listener_ = nullptr;
     ReadCallback onReadDone_;
     std::uint64_t nextReqId_ = 1;
-    /** serial-phase counters (enqueue, completions, migrations) */
     StatSet stats_;
-    /** lazily rebuilt stats_ + channel shards view (cold path) */
-    mutable StatSet mergedStats_;
     LatencyHistogram readLatency_;
-    /** workers for the scheduling phase; null when serial */
-    std::unique_ptr<ThreadPool> pool_;
 
     /** Interned counter handles for the per-command hot paths. */
     struct StatHandles

@@ -69,24 +69,7 @@ class BlockHammer : public Mitigation
     Cycle actAllowedAt(std::uint32_t channel, std::uint32_t bank,
                        RowId physRow, Cycle now) override;
 
-    /**
-     * actAllowedAt() prunes expired throttle entries and counts
-     * throttled ACTs on the shared stat set, so concurrent channel
-     * queries would race; the controller falls back to its serial
-     * channel loop (results are identical either way).
-     */
-    bool concurrentChannelQueriesSafe() const override { return false; }
-
     void tick(Cycle now) override;
-
-    /** Folds the filter-rotation deadline into the base schedule. */
-    Cycle nextEventAt(Cycle now) const override
-    {
-        Cycle next = Mitigation::nextEventAt(now);
-        if (nextRotateAt_ != kNoCycle)
-            next = std::min(next, std::max(nextRotateAt_, now + 1));
-        return next;
-    }
 
     void onEpochEnd(Cycle now, Cycle epochLen) override;
 

@@ -15,7 +15,6 @@
 #ifndef SRS_MITIGATION_MITIGATION_HH
 #define SRS_MITIGATION_MITIGATION_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -63,20 +62,6 @@ class Mitigation : public MemCtrlListener
 
     /** Pace lazy background work; call every controller tick. */
     virtual void tick(Cycle now);
-
-    /**
-     * Earliest cycle (> @p now) at which tick() is not provably a
-     * no-op.  The base implementation exposes the lazy-eviction
-     * deadline; mitigations with additional self-timed work
-     * (BlockHammer's filter rotation) override and fold theirs in.
-     * @return kNoCycle when no future tick can have any effect
-     */
-    virtual Cycle nextEventAt(Cycle now) const
-    {
-        if (nextLazyAt_ == kNoCycle)
-            return kNoCycle;
-        return std::max(nextLazyAt_, now + 1);
-    }
 
     /**
      * Refresh-epoch boundary: unlock RIT entries, reset the tracker,

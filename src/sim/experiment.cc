@@ -22,8 +22,6 @@ makeSystemConfig(const ExperimentConfig &exp, MitigationKind kind,
     cfg.mit.seed = exp.seed ^ 0x517e5ULL;
     cfg.epochLen = exp.epochLen;
     cfg.seed = exp.seed;
-    cfg.referenceLoop = exp.referenceLoop;
-    cfg.channelWorkers = exp.channelWorkers;
     axes.apply(cfg);
     return cfg;
 }

@@ -80,14 +80,6 @@ struct ExperimentConfig
     std::uint32_t numCores = 8;
     /** Trace/RIT base seed; equal seeds replay equal runs. */
     std::uint64_t seed = 0xBEEFULL;
-    /** Run under the tick-per-cycle reference loop instead of the
-     *  event-driven loop (A/B equivalence checks and the perf
-     *  harness; results are identical either way). */
-    bool referenceLoop = false;
-    /** Worker threads for channel-parallel simulation inside one
-     *  run (1 = serial; capped at the channel count; results are
-     *  byte-identical at any value — see sim/system.hh). */
-    std::uint32_t channelWorkers = 1;
 };
 
 /**

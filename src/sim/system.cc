@@ -54,9 +54,8 @@ System::System(const SystemConfig &cfg)
       nextEpochAt_(epochLen_)
 {
     cfg_.org.validate();
-    MemCtrlConfig mcfg = cfg_.memCtrl;
-    mcfg.channelWorkers = cfg_.channelWorkers;
-    ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_, mcfg);
+    ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_,
+                                               cfg_.memCtrl);
     llc_ = std::make_unique<Llc>(cfg_.llc, cfg_.org.rowBytes,
                                  cfg_.pinCapacity);
 
@@ -308,17 +307,6 @@ System::run(Cycle cycles)
     }
 
     const Cycle end = now_ + cycles;
-    if (cfg_.referenceLoop)
-        runReference(end);
-    else
-        runEventDriven(end);
-}
-
-void
-System::runReference(Cycle end)
-{
-    // Tick-per-cycle reference: every component, every cycle.  The
-    // event-driven loop below must be byte-identical to this one.
     const Cycle busClock = timing_.busClock;
     while (now_ < end) {
         for (auto &core : cores_)
@@ -333,54 +321,6 @@ System::runReference(Cycle end)
         }
         drainPinWritebacks();
         ++now_;
-    }
-}
-
-void
-System::runEventDriven(Cycle end)
-{
-    // Event-driven skip-ahead.  Each visited cycle replays exactly
-    // what the reference loop would do at that cycle; the loop then
-    // jumps now_ to the earliest cycle at which any component's tick
-    // is not provably a no-op (cores report wake cycles, the
-    // controller and mitigation report their next deadlines on the
-    // bus-clock lattice, and epoch boundaries are always visited).
-    // Skipping is only ever an optimization: visiting a cycle where
-    // every tick is a no-op cannot change state, so correctness
-    // reduces to never jumping past a non-no-op cycle.
-    const Cycle busClock = timing_.busClock;
-    while (now_ < end) {
-        for (auto &core : cores_) {
-            if (core->nextEventAt() <= now_)
-                core->tick(now_);
-        }
-        if (now_ % busClock == 0) {
-            ctrl_->tick(now_);
-            mitigation_->tick(now_);
-        }
-        if (now_ >= nextEpochAt_) {
-            onEpochBoundary();
-            nextEpochAt_ += epochLen_;
-        }
-        drainPinWritebacks();
-
-        Cycle next = std::min(end, nextEpochAt_);
-        for (const auto &core : cores_) {
-            const Cycle wake = core->nextEventAt();
-            if (wake != kNoCycle)
-                next = std::min(next, wake);
-        }
-        const Cycle mem = std::min(ctrl_->nextEventAt(now_),
-                                   mitigation_->nextEventAt(now_));
-        if (mem != kNoCycle) {
-            // These only tick on bus edges; round up to the lattice.
-            const Cycle onBus =
-                ((mem + busClock - 1) / busClock) * busClock;
-            next = std::min(next, onBus);
-        }
-        if (!pendingPinWritebacks_.empty())
-            next = std::min(next, now_ + 1);
-        now_ = std::max(now_ + 1, next);
     }
 }
 

@@ -88,23 +88,6 @@ struct SystemConfig
     Cycle llcHitLatency = 40;
     std::uint32_t pinCapacity = 66;
 
-    /**
-     * Use the tick-per-cycle reference loop instead of the
-     * event-driven skip-ahead loop.  Results are identical by
-     * construction (the equivalence tests lock this down); the
-     * reference exists for A/B verification and the perf harness.
-     */
-    bool referenceLoop = false;
-
-    /**
-     * Worker threads for the controller's channel-parallel
-     * scheduling phase (copied into MemCtrlConfig::channelWorkers;
-     * 1 = serial, values above the channel count are capped).  Like
-     * referenceLoop, this never changes results — the org-invariance
-     * tests lock serial and parallel runs to exact equality.
-     */
-    std::uint32_t channelWorkers = 1;
-
     std::uint64_t seed = 0xD00DULL;
 
     /** Effective epoch length in cycles. */
@@ -123,7 +106,10 @@ class System : public CoreMemoryInterface
     /** Attach a trace to core @p core (must cover all cores). */
     void setTrace(CoreId core, std::unique_ptr<TraceSource> trace);
 
-    /** Advance the machine by @p cycles CPU cycles. */
+    /**
+     * Advance the machine by @p cycles CPU cycles, ticking every core
+     * each cycle and the controller and mitigation on bus edges.
+     */
     void run(Cycle cycles);
 
     /** CoreMemoryInterface */
@@ -161,8 +147,6 @@ class System : public CoreMemoryInterface
   private:
     void onEpochBoundary();
     void onReadDone(const MemRequest &req);
-    void runReference(Cycle end);
-    void runEventDriven(Cycle end);
     void drainPinWritebacks();
 
     SystemConfig cfg_;

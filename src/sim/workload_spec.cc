@@ -241,9 +241,12 @@ SystemAxes::field() const
     }
     for (const AxesKnob &knob : kAxesKnobs) {
         const std::uint32_t ns = this->*knob.member;
-        if (ns != 0)
-            text += "@" + std::string(knob.key) + "="
-                    + std::to_string(ns);
+        if (ns != 0) {
+            text += '@';
+            text += knob.key;
+            text += '=';
+            text += std::to_string(ns);
+        }
     }
     return text;
 }

@@ -99,8 +99,8 @@ struct GeneratorSpec
  * region still exercises every bank.  Per-core streams are seeded
  * exactly like SyntheticTrace (seed ^ golden-ratio * (core+1)); the
  * hotspot phase clock advances in generator time (accumulated
- * nonMemGap + 1 per record), so phase boundaries are identical under
- * the reference and event-driven loops and at any thread count.
+ * nonMemGap + 1 per record), so phase boundaries depend only on the
+ * stream itself and are identical at any thread count.
  */
 class GeneratorTrace : public TraceSource
 {

@@ -19,12 +19,20 @@ function(run_expect_ok)
   endif()
 endfunction()
 
+# run_expect_fail(<args>... [STDERR <regex>]): nonzero exit, and with
+# STDERR the error output must match <regex>.
 function(run_expect_fail)
-  execute_process(COMMAND ${SRS_SIM} ${ARGV}
+  cmake_parse_arguments(PARSE_ARGV 0 arg "" "STDERR" "")
+  execute_process(COMMAND ${SRS_SIM} ${arg_UNPARSED_ARGUMENTS}
                   RESULT_VARIABLE rc
-                  OUTPUT_QUIET ERROR_QUIET)
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
   if(rc EQUAL 0)
     message(FATAL_ERROR "srs_sim ${ARGV} unexpectedly exited 0")
+  endif()
+  if(DEFINED arg_STDERR AND NOT err MATCHES "${arg_STDERR}")
+    message(FATAL_ERROR
+            "srs_sim ${ARGV} failed without '${arg_STDERR}':\n${err}")
   endif()
 endfunction()
 
@@ -251,22 +259,20 @@ run_expect_fail(sweep --workloads=hotspot:4096@hot=1.5@p=0.5
                 --mitigations=rrs --trh=1200 --rates=6)
 
 # The DRAM organization is a system axis too: an org grid must be
-# invariant under both --threads and --channel-workers (the channel-
-# parallel kernel is an optimization, never an axis), carry the
-# @org= spellings in the identity column, and ride orchestrate/merge
-# byte-identically.
+# invariant under --threads, carry the @org= spellings in the
+# identity column, and ride orchestrate/merge byte-identically.
 set(org_grid --workloads=gups --mitigations=rrs,scale-srs --trh=1200
     --rates=6 --org=1x1x16,2x1x16,2x2x32 --cycles=60000 --epoch=25000)
-run_expect_ok(sweep ${org_grid} --threads=1 --channel-workers=1
+run_expect_ok(sweep ${org_grid} --threads=1
               --out=${smoke_dir}/org_serial.csv --journal=none)
-run_expect_ok(sweep ${org_grid} --threads=8 --channel-workers=8
+run_expect_ok(sweep ${org_grid} --threads=8
               --out=${smoke_dir}/org_parallel.csv --journal=none)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                 ${smoke_dir}/org_serial.csv
                 ${smoke_dir}/org_parallel.csv
                 RESULT_VARIABLE org_diff)
 if(NOT org_diff EQUAL 0)
-  message(FATAL_ERROR "org sweep depends on the thread/channel-worker count")
+  message(FATAL_ERROR "org sweep depends on the thread count")
 endif()
 file(READ ${smoke_dir}/org_serial.csv org_csv)
 foreach(needle ",closed@org=1x1x16," ",closed,")
@@ -460,6 +466,8 @@ run_expect_fail(list --bogus=1)
 run_expect_fail(storage --thr=1200)
 run_expect_fail(perf --workload=gups --cylces=1000)
 run_expect_fail(sweep --workloads=gups --thread=2)
+# Cells run one serial controller; there is no channel-worker flag.
+run_expect_fail(sweep ${org_grid} --channel-workers=2 STDERR "unknown option")
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --resume=${smoke_dir}/no_such_file.csv)
 run_expect_fail(sweep --workloads= --mitigations=rrs --trh=1200
@@ -480,7 +488,7 @@ execute_process(COMMAND ${SRS_SIM} OUTPUT_VARIABLE usage_text
 foreach(subcommand perf sweep orchestrate merge farm monitor attack
         security storage trace list
         --workloads --shards --manifest --montecarlo --defenses --rounds
-        --trace --page-policy --preset --org --channel-workers
+        --trace --page-policy --preset --org
         --trc --trcd --trp --trefi --trfc "trace:"
         --hosts --status-file --stale-sec --plan-format --watch
         --interval-ms --poll-ms)

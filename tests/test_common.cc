@@ -266,39 +266,6 @@ TEST(MathUtil, PowerOfTwoHelpers)
     EXPECT_EQ(floorLog2(131072), 17u);
 }
 
-TEST(RunningStat, BasicMoments)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_NEAR(s.mean(), 5.0, 1e-12);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-9);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, EmptyIsSafe)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, CountsAndMax)
-{
-    Histogram h;
-    h.add(3);
-    h.add(3);
-    h.add(7, 5);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.countOf(3), 2u);
-    EXPECT_EQ(h.countOf(7), 5u);
-    EXPECT_EQ(h.countOf(42), 0u);
-    EXPECT_EQ(h.maxKey(), 7u);
-}
-
 TEST(LatencyHistogram, SmallValuesHaveExactBuckets)
 {
     // Values below 16 land in unit-wide buckets, so every quantile
@@ -351,29 +318,6 @@ TEST(LatencyHistogram, QuantilesReportBucketUpperBounds)
     EXPECT_GE(bound, 100u);
     EXPECT_EQ(h.quantilePermille(500), bound);
     EXPECT_EQ(h.quantilePermille(999), bound);
-}
-
-TEST(LatencyHistogram, MergeEqualsConcatenatedStream)
-{
-    // merge() is exactly stream concatenation: per-core and
-    // per-shard histograms combine into the bytes a single-threaded
-    // run would have produced — the invariance the CSV percentile
-    // columns rely on.
-    LatencyHistogram all, a, b;
-    Rng rng(0x1a7e);
-    for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t v = rng.nextBelow(1u << 20);
-        all.add(v);
-        (i % 2 ? a : b).add(v);
-    }
-    LatencyHistogram ab = a;
-    ab.merge(b);
-    LatencyHistogram ba = b;
-    ba.merge(a);
-    EXPECT_EQ(ab, all);
-    EXPECT_EQ(ba, all);
-    EXPECT_EQ(ab.quantilePermille(990), all.quantilePermille(990));
-    EXPECT_NE(a, all);
 }
 
 TEST(LatencyHistogram, EmptyIsSafeAndEqualityIsStructural)

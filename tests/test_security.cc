@@ -805,8 +805,9 @@ TEST_P(AttackMonotonicity, OpenPageNeverHelpsTheAttacker)
     open.actTimeFactor = kOpenPageActFactor;
     const AttackResult rc = JuggernautModel(closed).bestRrs();
     const AttackResult ro = JuggernautModel(open).bestRrs();
-    if (rc.feasible && ro.feasible)
+    if (rc.feasible && ro.feasible) {
         EXPECT_GE(ro.timeToBreakSec, rc.timeToBreakSec);
+    }
 }
 
 TEST_P(AttackMonotonicity, MoreBanksSlowTheAttack)

@@ -380,9 +380,10 @@ TEST(SpecProperty, RandomAxesSurviveTheSweepGridAndIdentityPrefix)
         cell.axes = randomAxes(rng);
         const std::string prefix =
             SweepRunner::identityPrefix(7, cell, 0x1234);
-        EXPECT_NE(prefix.find("," + cell.axes.field() + ","),
-                  std::string::npos)
-            << prefix;
+        std::string field = ",";
+        field += cell.axes.field();
+        field += ',';
+        EXPECT_NE(prefix.find(field), std::string::npos) << prefix;
     }
 }
 

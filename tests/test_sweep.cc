@@ -601,8 +601,12 @@ TEST(WorkloadSpecApi, ParseRoundTripsSyntheticAndTraceSpellings)
 
     // Per-core path lists round-trip through the ';' spelling.
     std::string perCore = "trace:";
-    for (int c = 0; c < 8; ++c)
-        perCore += (c ? ";" : "") + ("/t/c" + std::to_string(c));
+    for (int c = 0; c < 8; ++c) {
+        if (c > 0)
+            perCore += ';';
+        perCore += "/t/c";
+        perCore += std::to_string(c);
+    }
     const WorkloadSpec spec = WorkloadSpec::parse(perCore, 8);
     EXPECT_EQ(spec.tracePaths.size(), 8u);
     EXPECT_EQ(spec.label(), perCore);

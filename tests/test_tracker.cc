@@ -47,10 +47,14 @@ TEST(SpaceSaving, NeverUndercounts)
         ++truth[row];
         t.increment(row);
     }
+    std::size_t tracked = 0;
     for (const auto &[row, count] : truth) {
-        if (t.countOf(row) != 0)
-            EXPECT_GE(t.countOf(row), 0u);
+        if (t.countOf(row) != 0) {
+            ++tracked;
+            EXPECT_GE(t.countOf(row), count) << "row " << row;
+        }
     }
+    EXPECT_EQ(tracked, t.size());
     // A row hammered far above the eviction floor must be tracked
     // with at least its true count.
     SpaceSaving t2(4);

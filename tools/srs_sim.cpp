@@ -49,8 +49,7 @@
  *                      [--trc=NS,…]
  *                      [--trcd=NS,…] [--trp=NS,…] [--trefi=NS,…]
  *                      [--trfc=NS,…] [--mix=N] [--mix-base=K]
- *                      [--threads=N] [--channel-workers=N]
- *                      [--cycles=N] [--epoch=N]
+ *                      [--threads=N] [--cycles=N] [--epoch=N]
  *                      [--seed=S] [--out=FILE] [--resume=FILE]
  *                      [--journal=FILE]
  *            --workloads=all sweeps every built-in profile; items
@@ -80,9 +79,8 @@
  *            (workloads outermost, then page policy, preset, org,
  *            the timing overrides, mitigations, trhs,
  *            rates innermost) and is byte-identical for any
- *            --threads or --channel-workers value (the latter
- *            parallelizes the DRAM channels *inside* each cell —
- *            useful for a few large multi-channel cells).
+ *            --threads value (cells run in parallel; each cell is
+ *            one serial cycle-by-cycle simulation).
  *            Completed cells stream to a journal
  *            (default <out>.journal; --journal=none disables), and
  *            --resume=FILE skips cells already recorded in a
@@ -309,8 +307,6 @@ cmdSweep(const Options &opts)
     parseGridFlags(opts, grid, exp);
     const std::size_t threads =
         static_cast<std::size_t>(opts.getUint("threads", 0));
-    exp.channelWorkers = static_cast<std::uint32_t>(
-        opts.getUint("channel-workers", 1));
     const std::string out = opts.getString("out", "");
     const std::string resume = opts.getString("resume", "");
     std::string journal = opts.getString(
@@ -800,8 +796,6 @@ usage()
         "    --trh=N,M (1200)\n"
         "    --rates=N,M (3)  --tracker=KIND\n"
         "    --mix=N (0)  --mix-base=K (0)  --threads=N (all)\n"
-        "    --channel-workers=N (1)  worker threads per cell for\n"
-        "    channel-parallel simulation; never changes results\n"
         "    --cycles=N  --epoch=N  --seed=S  --out=FILE (stdout)\n"
         "    --journal=FILE|none (<out>.journal)  --resume=FILE\n"
         "\n"
