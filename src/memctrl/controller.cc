@@ -1,14 +1,22 @@
 #include "memctrl/controller.hh"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 #include "common/logging.hh"
 
 namespace srs
 {
 
-/** Tombstones tolerated in a queue before it is compacted. */
-constexpr std::uint32_t kCompactThreshold = 32;
+namespace
+{
+
+/** Id above every real request: "no winner". */
+constexpr std::uint64_t kNoRequest =
+    std::numeric_limits<std::uint64_t>::max();
+
+} // namespace
 
 const char *
 migrationKindName(MigrationJob::Kind kind)
@@ -39,13 +47,12 @@ MemoryController::MemoryController(const DramOrg &org,
         c.nextRefreshDue.assign(org_.ranksPerChannel, timing_.tREFI);
         c.refreshDebt.assign(org_.ranksPerChannel, 0);
         c.openRowArr.assign(flats, kInvalidRow);
-        c.readHit.assign(flats, 0);
-        c.writeHit.assign(flats, 0);
-        c.p2Verdict.assign(flats, 0);
-        // Tombstones let a queue exceed its live depth briefly.
-        c.readQ.reserve(cfg_.readQueueDepth + kCompactThreshold + 1);
-        c.writeQ.reserve(cfg_.writeQueueDepth + kCompactThreshold + 1);
+        c.readQ.banks.resize(flats);
+        c.writeQ.banks.resize(flats);
     }
+    verdict_.resize(flats);
+    go_.reserve(flats);
+    toCommit_.reserve(flats);
 
     h_.writesEnqueued = stats_.handle("writes_enqueued");
     h_.readsForwarded = stats_.handle("reads_forwarded");
@@ -62,11 +69,16 @@ MemoryController::MemoryController(const DramOrg &org,
     h_.rowConflicts = stats_.handle("row_conflicts");
     h_.activations = stats_.handle("activations");
     h_.idleCloses = stats_.handle("idle_closes");
-    h_.p2SkipBusy = stats_.handle("p2_skip_busy");
-    h_.p2SkipForced = stats_.handle("p2_skip_forced");
-    h_.p2SkipHitWait = stats_.handle("p2_skip_hit_wait");
-    h_.p2SkipPreWait = stats_.handle("p2_skip_pre_wait");
-    h_.p2SkipActWait = stats_.handle("p2_skip_act_wait");
+    h_.p2Skip[static_cast<int>(Verdict::Busy)] =
+        stats_.handle("p2_skip_busy");
+    h_.p2Skip[static_cast<int>(Verdict::Forced)] =
+        stats_.handle("p2_skip_forced");
+    h_.p2Skip[static_cast<int>(Verdict::HitWait)] =
+        stats_.handle("p2_skip_hit_wait");
+    h_.p2Skip[static_cast<int>(Verdict::PreWait)] =
+        stats_.handle("p2_skip_pre_wait");
+    h_.p2Skip[static_cast<int>(Verdict::ActWait)] =
+        stats_.handle("p2_skip_act_wait");
     h_.p2SkipThrottled = stats_.handle("p2_skip_throttled");
     for (int k = 0; k < 4; ++k) {
         const auto kind = static_cast<MigrationJob::Kind>(k);
@@ -77,20 +89,24 @@ MemoryController::MemoryController(const DramOrg &org,
     }
 }
 
-std::uint32_t
-MemoryController::flatBank(const ChannelState &, std::uint32_t rank,
-                           std::uint32_t bank) const
+MemoryController::BankQueue &
+MemoryController::bankQueueOf(ChannelState &c, const MemRequest &req)
 {
-    return rank * org_.banksPerRank + bank;
+    RequestQueue &q = req.isWrite ? c.writeQ : c.readQ;
+    return q.banks[flatBank(req.coord.rank, req.coord.bank)];
 }
 
 bool
-MemoryController::wouldForward(const ChannelState &c, Addr line) const
+MemoryController::wouldForward(const ChannelState &c,
+                               const DramCoord &coord, Addr addr) const
 {
-    for (const MemRequest &w : c.writeQ) {
-        if (w.dead)
-            continue;
-        if ((w.addr & ~static_cast<Addr>(org_.lineBytes - 1)) == line)
+    // A line always decodes to one bank, so only that bank's posted
+    // writes can hold it.
+    const Addr lineMask = ~static_cast<Addr>(org_.lineBytes - 1);
+    const BankQueue &bq =
+        c.writeQ.banks[flatBank(coord.rank, coord.bank)];
+    for (const MemRequest &w : bq.reqs) {
+        if ((w.addr & lineMask) == (addr & lineMask))
             return true;
     }
     return false;
@@ -102,12 +118,12 @@ MemoryController::canAccept(Addr addr, bool isWrite) const
     const DramCoord coord = map_.decode(addr);
     const ChannelState &c = channels_[coord.channel];
     if (isWrite)
-        return liveWrites(c) < cfg_.writeQueueDepth;
-    if (liveReads(c) < cfg_.readQueueDepth)
+        return c.writeQ.live < cfg_.writeQueueDepth;
+    if (c.readQ.live < cfg_.readQueueDepth)
         return true;
     // A read served by read-around-write forwarding never occupies a
     // read-queue slot, so a full read queue must not reject it.
-    return wouldForward(c, addr & ~static_cast<Addr>(org_.lineBytes - 1));
+    return wouldForward(c, coord, addr);
 }
 
 std::uint64_t
@@ -125,28 +141,22 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
     req.coord = map_.decode(addr);
 
     ChannelState &c = channels_[req.coord.channel];
-    if (isWrite) {
-        stats_.inc(h_.writesEnqueued);
-        c.writeQ.push_back(req);
-        ++c.writeStale;
-        return req.id;
-    }
-
     // Read-around-write forwarding: a read that hits a posted write
     // is satisfied from the write queue without touching DRAM.  This
     // is checked before the queue-capacity path so a forwardable read
     // is accepted even when the read queue is full.
-    const Addr line = addr & ~static_cast<Addr>(org_.lineBytes - 1);
-    if (wouldForward(c, line)) {
+    if (!isWrite && wouldForward(c, req.coord, addr)) {
         stats_.inc(h_.readsForwarded);
         MemRequest done = req;
         done.completion = now + 1;
         c.pendingReads.push({done.completion, done});
         return req.id;
     }
-    stats_.inc(h_.readsEnqueued);
-    c.readQ.push_back(req);
-    ++c.readStale;
+    stats_.inc(isWrite ? h_.writesEnqueued : h_.readsEnqueued);
+    BankQueue &bq = bankQueueOf(c, req);
+    bq.reqs.push_back(req);
+    ++bq.stale; // no translation cached yet
+    ++(isWrite ? c.writeQ : c.readQ).live;
     return req.id;
 }
 
@@ -163,12 +173,12 @@ MemoryController::scheduleMigration(std::uint32_t channel,
     // live request becomes stale; no cached translation can be a
     // row-buffer hit until physRowOf() revalidates it.
     ++c.mapVersion;
-    c.readStale = liveReads(c);
-    c.writeStale = liveWrites(c);
-    std::fill(c.readHit.begin(), c.readHit.end(), 0u);
-    std::fill(c.writeHit.begin(), c.writeHit.end(), 0u);
-    c.readHitSum = 0;
-    c.writeHitSum = 0;
+    for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+        for (BankQueue &bq : q->banks) {
+            bq.stale = static_cast<std::uint32_t>(bq.reqs.size());
+            bq.hits = 0;
+        }
+    }
     ++c.migCount;
     c.migQ[bank].push_back(std::move(job));
 }
@@ -240,10 +250,10 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
 }
 
 bool
-MemoryController::startMigration(std::uint32_t chIdx, ChannelState &c,
-                                 Cycle now)
+MemoryController::startMigration(ChannelState &c, Cycle now)
 {
-    (void)chIdx;
+    if (c.migCount == 0)
+        return false;
     for (std::uint32_t flat = 0; flat < c.migQ.size(); ++flat) {
         if (c.migQ[flat].empty())
             continue;
@@ -285,10 +295,22 @@ MemoryController::startMigration(std::uint32_t chIdx, ChannelState &c,
 void
 MemoryController::updateDrainState(ChannelState &c)
 {
-    if (!c.draining && liveWrites(c) >= cfg_.writeHiWatermark)
+    if (!c.draining && c.writeQ.live >= cfg_.writeHiWatermark)
         c.draining = true;
-    else if (c.draining && liveWrites(c) <= cfg_.writeLoWatermark)
+    else if (c.draining && c.writeQ.live <= cfg_.writeLoWatermark)
         c.draining = false;
+}
+
+RowId
+MemoryController::peekPhysRow(std::uint32_t chIdx, const ChannelState &c,
+                              const MemRequest &req) const
+{
+    if (req.mapVersion == c.mapVersion && req.physRow != kInvalidRow)
+        return req.physRow;
+    if (listener_ == nullptr)
+        return req.coord.row;
+    return listener_->remapRow(
+        chIdx, flatBank(req.coord.rank, req.coord.bank), req.coord.row);
 }
 
 RowId
@@ -297,27 +319,15 @@ MemoryController::physRowOf(std::uint32_t chIdx, ChannelState &c,
 {
     if (req.mapVersion == c.mapVersion && req.physRow != kInvalidRow)
         return req.physRow;
-    RowId phys = req.coord.row;
-    const std::uint32_t flat = flatBank(c, req.coord.rank, req.coord.bank);
-    if (listener_)
-        phys = listener_->remapRow(chIdx, flat, phys);
+    const RowId phys = peekPhysRow(chIdx, c, req);
     // The request leaves the stale set; if its fresh translation hits
-    // its bank's open row it joins the hit counters.
-    if (req.isWrite)
-        --c.writeStale;
-    else
-        --c.readStale;
+    // its bank's open row it joins the hit count.
+    BankQueue &bq = bankQueueOf(c, req);
+    --bq.stale;
     req.physRow = phys;
     req.mapVersion = c.mapVersion;
-    if (c.openRowArr[flat] == phys) {
-        if (req.isWrite) {
-            ++c.writeHit[flat];
-            ++c.writeHitSum;
-        } else {
-            ++c.readHit[flat];
-            ++c.readHitSum;
-        }
-    }
+    if (c.openRowArr[flatBank(req.coord.rank, req.coord.bank)] == phys)
+        ++bq.hits;
     return phys;
 }
 
@@ -328,7 +338,7 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
 {
     Rank &r = c.ranks[rank];
     const Cycle done = r.issue(cmd, bank, row, now, autoPre);
-    const std::uint32_t flat = flatBank(c, rank, bank);
+    const std::uint32_t flat = flatBank(rank, bank);
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
     if (open != c.openRowArr[flat]) {
@@ -345,266 +355,289 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
 void
 MemoryController::recountBankHits(ChannelState &c, std::uint32_t flat)
 {
-    c.readHitSum -= c.readHit[flat];
-    c.writeHitSum -= c.writeHit[flat];
-    c.readHit[flat] = 0;
-    c.writeHit[flat] = 0;
     const RowId open = c.openRowArr[flat];
-    if (open == kInvalidRow)
-        return;
-    for (const MemRequest &r : c.readQ) {
-        if (!r.dead && r.mapVersion == c.mapVersion && r.physRow == open &&
-            flatBank(c, r.coord.rank, r.coord.bank) == flat) {
-            ++c.readHit[flat];
+    for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+        BankQueue &bq = q->banks[flat];
+        bq.hits = 0;
+        if (open == kInvalidRow)
+            continue;
+        for (const MemRequest &r : bq.reqs) {
+            if (r.mapVersion == c.mapVersion && r.physRow == open)
+                ++bq.hits;
         }
     }
-    for (const MemRequest &w : c.writeQ) {
-        if (!w.dead && w.mapVersion == c.mapVersion && w.physRow == open &&
-            flatBank(c, w.coord.rank, w.coord.bank) == flat) {
-            ++c.writeHit[flat];
-        }
-    }
-    c.readHitSum += c.readHit[flat];
-    c.writeHitSum += c.writeHit[flat];
 }
 
 void
-MemoryController::killRequest(ChannelState &c, MemRequest &req)
+MemoryController::retireRequest(ChannelState &c, RequestQueue &q,
+                                std::uint32_t flat, std::size_t idx)
 {
-    if (req.mapVersion == c.mapVersion) {
-        const std::uint32_t flat =
-            flatBank(c, req.coord.rank, req.coord.bank);
-        if (c.openRowArr[flat] == req.physRow) {
-            if (req.isWrite) {
-                --c.writeHit[flat];
-                --c.writeHitSum;
-            } else {
-                --c.readHit[flat];
-                --c.readHitSum;
-            }
-        }
-    } else {
-        if (req.isWrite)
-            --c.writeStale;
-        else
-            --c.readStale;
-    }
-    req.dead = true;
-    if (req.isWrite)
-        ++c.writeDead;
-    else
-        ++c.readDead;
-}
-
-void
-MemoryController::compactIfNeeded(ChannelState &c,
-                                  std::vector<MemRequest> &q, bool isWrite)
-{
-    std::uint32_t &dead = isWrite ? c.writeDead : c.readDead;
-    if (dead < kCompactThreshold)
-        return;
-    std::erase_if(q, [](const MemRequest &r) { return r.dead; });
-    dead = 0;
+    BankQueue &bq = q.banks[flat];
+    const MemRequest &req = bq.reqs[idx];
+    if (req.mapVersion != c.mapVersion)
+        --bq.stale;
+    else if (req.physRow == c.openRowArr[flat])
+        --bq.hits;
+    bq.reqs.erase(bq.reqs.begin() + static_cast<std::ptrdiff_t>(idx));
+    --q.live;
 }
 
 void
 MemoryController::invalidateReqCache(ChannelState &c, MemRequest &req)
 {
     if (req.mapVersion == c.mapVersion) {
-        const std::uint32_t flat =
-            flatBank(c, req.coord.rank, req.coord.bank);
-        if (c.openRowArr[flat] == req.physRow) {
-            if (req.isWrite) {
-                --c.writeHit[flat];
-                --c.writeHitSum;
-            } else {
-                --c.readHit[flat];
-                --c.readHitSum;
-            }
+        BankQueue &bq = bankQueueOf(c, req);
+        if (c.openRowArr[flatBank(req.coord.rank, req.coord.bank)] ==
+            req.physRow) {
+            --bq.hits;
         }
-        if (req.isWrite)
-            ++c.writeStale;
-        else
-            ++c.readStale;
+        ++bq.stale;
     }
     req.mapVersion = 0;
 }
 
+// FR-FCFS over per-bank, age-ordered queues.  The decisions are those
+// of one walk over the whole queue in age order; so are the side
+// effects that walk has on the way to its winner, because later
+// decisions read them:
+//  (a) physRowOf() revalidates every request the walk passes: in
+//      pass 1 those in schedulable open banks, in pass 2 those in
+//      hit-wait, pre-wait and act-wait banks.  That moves the hit and
+//      stale counts that bankHasPendingHit() and pass 1 read.
+//  (b) actAllowedAt() is asked in age order, and only for go-ACT
+//      requests no younger than the winner (BlockHammer's answer
+//      erases expired entries and counts throttled ACTs).
+//  (c) each p2_skip_* counter counts the requests older than the
+//      winner, by their bank's verdict.
+// remapRow() has no side effects, so a translation the walk would not
+// have committed yet may be peeked at.
 bool
 MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
-                               std::vector<MemRequest> &q, bool isWrite,
-                               Cycle now)
+                               RequestQueue &q, bool isWrite, Cycle now)
 {
+    if (q.live == 0)
+        return false;
+    return serveRowHit(chIdx, c, q, isWrite, now) ||
+           openOldest(chIdx, c, q, now);
+}
+
+bool
+MemoryController::serveRowHit(std::uint32_t chIdx, ChannelState &c,
+                              RequestQueue &q, bool isWrite, Cycle now)
+{
+    // Pass 1 (FR of FR-FCFS): serve the oldest queued row-buffer hit
+    // among the banks that can take a column command now.
+    if (c.openCount == 0)
+        return false;
     const DramCommand cas =
         isWrite ? DramCommand::Write : DramCommand::Read;
+    std::uint64_t winId = kNoRequest;
+    std::uint32_t winFlat = 0;
+    std::size_t winIdx = 0;
+    toCommit_.clear();
+    for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
+        Rank &rank = c.ranks[ri];
+        if (rank.refreshing(now))
+            continue;
+        for (std::uint32_t bi = 0; bi < org_.banksPerRank; ++bi) {
+            const std::uint32_t flat = flatBank(ri, bi);
+            const RowId open = c.openRowArr[flat];
+            const BankQueue &bq = q.banks[flat];
+            // Neither a current hit nor a stale translation that could
+            // turn out to be one.
+            if (open == kInvalidRow || (bq.hits == 0 && bq.stale == 0) ||
+                rank.bank(bi).blocked(now)) {
+                continue;
+            }
+            if (bq.stale > 0)
+                toCommit_.push_back(flat);
+            // Once the row equals the open row, CAS legality no longer
+            // depends on the request.
+            if (!rank.canIssue(cas, bi, open, now))
+                continue;
+            for (std::size_t i = 0;
+                 i < bq.reqs.size() && bq.reqs[i].id < winId; ++i) {
+                if (peekPhysRow(chIdx, c, bq.reqs[i]) == open) {
+                    winId = bq.reqs[i].id;
+                    winFlat = flat;
+                    winIdx = i;
+                    break;
+                }
+            }
+        }
+    }
+    // (a): commit what the walk passed, the winner included.
+    for (const std::uint32_t flat : toCommit_) {
+        BankQueue &bq = q.banks[flat];
+        for (std::size_t i = 0;
+             i < bq.reqs.size() && bq.reqs[i].id <= winId; ++i) {
+            physRowOf(chIdx, c, bq.reqs[i]);
+        }
+    }
+    if (winId == kNoRequest)
+        return false;
 
-    // Pass 1 (FR of FR-FCFS): serve a queued row-buffer hit.  The
-    // scan is provably a no-op — and skipped — when no current cached
-    // translation equals its bank's open row AND no translation is
-    // stale: physRowOf() revalidates stale entries as a side effect,
-    // which can surface hits mid-scan, so staleness forces the walk.
-    const std::uint32_t hitSum = isWrite ? c.writeHitSum : c.readHitSum;
-    const std::uint32_t staleCnt = isWrite ? c.writeStale : c.readStale;
-    if (hitSum > 0 || staleCnt > 0) {
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            MemRequest &req = q[i];
-            if (req.dead)
+    const MemRequest &req = q.banks[winFlat].reqs[winIdx];
+    const Cycle done =
+        issueCmd(c, req.coord.rank, cas, req.coord.bank, req.physRow, now,
+                 /*autoPre=*/false);
+    if (isWrite) {
+        stats_.inc(h_.writesIssued);
+    } else {
+        stats_.inc(h_.readsIssued);
+        stats_.inc(h_.rowHits);
+        MemRequest finished = req;
+        finished.completion = done;
+        c.pendingReads.push({done, finished});
+    }
+    retireRequest(c, q, winFlat, winIdx);
+    return true;
+}
+
+bool
+MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
+                             RequestQueue &q, Cycle now)
+{
+    // Pass 2 (FCFS): open the row of the oldest request that can make
+    // progress.  Bank and rank state cannot change before a command
+    // issues, so one verdict per bank, taken from its oldest request,
+    // covers all of its requests.
+    // (c) counts every request of a waiting bank as skipped; once the
+    // winner is known, those younger than it are taken back.
+    std::uint64_t skipped[kWaitVerdicts] = {};
+    go_.clear();
+    toCommit_.clear();
+    for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
+        Rank &rank = c.ranks[ri];
+        const bool refreshing = rank.refreshing(now);
+        // Forced-refresh mode: no new activations on this rank.
+        const bool forced =
+            c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes;
+        for (std::uint32_t bi = 0; bi < org_.banksPerRank; ++bi) {
+            const std::uint32_t flat = flatBank(ri, bi);
+            const BankQueue &bq = q.banks[flat];
+            if (bq.reqs.empty())
                 continue;
-            const std::uint32_t ri = req.coord.rank;
-            const std::uint32_t bi = req.coord.bank;
-            Rank &rank = c.ranks[ri];
-            Bank &bank = rank.bank(bi);
-            if (rank.refreshing(now) || bank.blocked(now) ||
-                !bank.rowOpen()) {
-                continue;
-            }
-            const RowId phys = physRowOf(chIdx, c, req);
-            if (bank.openRow() != phys)
-                continue;
-            if (!rank.canIssue(cas, bi, phys, now))
-                continue;
-            const Cycle done = issueCmd(c, ri, cas, bi, phys, now,
-                                        /*autoPre=*/false);
-            if (isWrite) {
-                stats_.inc(h_.writesIssued);
+            const Bank &bank = rank.bank(bi);
+            Verdict v;
+            if (refreshing || bank.blocked(now)) {
+                v = Verdict::Busy;
+            } else if (forced) {
+                v = Verdict::Forced;
+            } else if (bank.rowOpen()) {
+                // Pass 1 revalidated every request of this bank, so its
+                // hit count is final; pass 1 also drained any hit it could
+                // serve, so the open row is a conflict.
+                SRS_ASSERT(bq.stale == 0, "stale request in an open bank");
+                if (bankHasPendingHit(c, ri, bi, bank.openRow()))
+                    v = Verdict::HitWait;
+                else if (rank.canIssue(DramCommand::Precharge, bi, 0, now))
+                    v = Verdict::GoPre;
+                else
+                    v = Verdict::PreWait;
+            } else if (!rank.canIssue(DramCommand::Activate, bi,
+                                      bq.reqs.front().coord.row, now)) {
+                // ACT legality does not depend on the (in-range) row:
+                // tRRD/tFAW and the bank's tRC window decide it.
+                v = Verdict::ActWait;
+                if (bq.stale > 0)
+                    toCommit_.push_back(flat);
             } else {
-                stats_.inc(h_.readsIssued);
-                stats_.inc(h_.rowHits);
-                MemRequest finished = req;
-                finished.completion = done;
-                c.pendingReads.push({done, finished});
+                v = Verdict::GoAct;
             }
-            killRequest(c, req);
-            compactIfNeeded(c, q, isWrite);
-            return true;
+            verdict_[flat] = v;
+            if (v == Verdict::GoPre || v == Verdict::GoAct)
+                go_.push_back({flat, 0});
+            else
+                skipped[static_cast<std::size_t>(v)] += bq.reqs.size();
         }
     }
 
-    // Pass 2 (FCFS): open the oldest serviceable request's row.
-    //
-    // Bank and rank state are constant for the duration of the scan
-    // (issuing any command returns immediately), so the skip verdict
-    // for a bank is computed once and memoized for every later
-    // request targeting it.  Verdicts reached after the physRowOf()
-    // call in the original control flow still refresh the skipped
-    // request's translation cache, preserving the side effect the
-    // unmemoized scan had; busy/forced verdicts precede it and must
-    // not.  Throttling is row-dependent and is never memoized.
-    enum : std::uint8_t
-    {
-        kVerdictNone = 0,
-        kVerdictBusy,
-        kVerdictForced,
-        kVerdictHitWait,
-        kVerdictPreWait,
-        kVerdictActWait,
-    };
-    std::vector<std::uint8_t> &verdict = c.p2Verdict;
-    std::fill(verdict.begin(), verdict.end(), kVerdictNone);
-    std::uint64_t nBusy = 0;
-    std::uint64_t nForced = 0;
-    std::uint64_t nHitWait = 0;
-    std::uint64_t nPreWait = 0;
-    std::uint64_t nActWait = 0;
-    const auto flushSkips = [&]() {
-        if (nBusy > 0)
-            stats_.inc(h_.p2SkipBusy, nBusy);
-        if (nForced > 0)
-            stats_.inc(h_.p2SkipForced, nForced);
-        if (nHitWait > 0)
-            stats_.inc(h_.p2SkipHitWait, nHitWait);
-        if (nPreWait > 0)
-            stats_.inc(h_.p2SkipPreWait, nPreWait);
-        if (nActWait > 0)
-            stats_.inc(h_.p2SkipActWait, nActWait);
-    };
-    for (std::size_t i = 0; i < q.size(); ++i) {
-        MemRequest &req = q[i];
-        if (req.dead)
-            continue;
-        const std::uint32_t ri = req.coord.rank;
-        const std::uint32_t bi = req.coord.bank;
-        const std::uint32_t flat = flatBank(c, ri, bi);
-        switch (verdict[flat]) {
-          case kVerdictBusy:
-            ++nBusy;
-            continue;
-          case kVerdictForced:
-            ++nForced;
-            continue;
-          case kVerdictHitWait:
-            physRowOf(chIdx, c, req);
-            ++nHitWait;
-            continue;
-          case kVerdictPreWait:
-            physRowOf(chIdx, c, req);
-            ++nPreWait;
-            continue;
-          case kVerdictActWait:
-            physRowOf(chIdx, c, req);
-            ++nActWait;
-            continue;
-          default:
+    // Walk the go banks' requests oldest first until one issues.  A
+    // go-PRE bank's oldest request always does; a go-ACT request the
+    // listener throttles (b) falls through to the next oldest.
+    std::optional<GoCursor> win;
+    for (;;) {
+        GoCursor *next = nullptr;
+        std::uint64_t nextId = kNoRequest;
+        for (GoCursor &g : go_) {
+            const BankQueue &bq = q.banks[g.flat];
+            if (g.next < bq.reqs.size() && bq.reqs[g.next].id < nextId) {
+                next = &g;
+                nextId = bq.reqs[g.next].id;
+            }
+        }
+        if (next == nullptr)
             break;
-        }
-        Rank &rank = c.ranks[ri];
-        Bank &bank = rank.bank(bi);
-        if (rank.refreshing(now) || bank.blocked(now)) {
-            verdict[flat] = kVerdictBusy;
-            ++nBusy;
-            continue;
-        }
-        // Forced-refresh mode: no new activations on this rank.
-        if (c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes) {
-            verdict[flat] = kVerdictForced;
-            ++nForced;
-            continue;
-        }
-        const RowId phys = physRowOf(chIdx, c, req);
-        if (bank.rowOpen()) {
-            // Conflict: close the row so this request can proceed
-            // (pass 1 already drained any hits to the open row).
-            if (bankHasPendingHit(c, ri, bi, bank.openRow())) {
-                verdict[flat] = kVerdictHitWait;
-                ++nHitWait;
+        if (verdict_[next->flat] == Verdict::GoAct) {
+            MemRequest &req = q.banks[next->flat].reqs[next->next];
+            const RowId phys = physRowOf(chIdx, c, req);
+            if (listener_ != nullptr &&
+                listener_->actAllowedAt(chIdx, next->flat, phys, now) >
+                    now) {
+                stats_.inc(h_.p2SkipThrottled);
+                ++next->next;
                 continue;
             }
-            if (rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
-                issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-                stats_.inc(h_.rowConflicts);
-                flushSkips();
-                return true;
+        }
+        win = *next;
+        break;
+    }
+
+    const std::uint64_t winId =
+        win ? q.banks[win->flat].reqs[win->next].id : kNoRequest;
+    const auto olderThanWinner = [winId](const BankQueue &bq) {
+        return std::partition_point(
+            bq.reqs.begin(), bq.reqs.end(),
+            [winId](const MemRequest &r) { return r.id < winId; });
+    };
+    if (win) {
+        for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
+            const BankQueue &bq = q.banks[flat];
+            const Verdict v = verdict_[flat];
+            if (bq.reqs.empty() || v == Verdict::GoPre ||
+                v == Verdict::GoAct) {
+                continue;
             }
-            verdict[flat] = kVerdictPreWait;
-            ++nPreWait;
-            continue;
+            skipped[static_cast<std::size_t>(v)] -=
+                static_cast<std::uint64_t>(bq.reqs.end() -
+                                           olderThanWinner(bq));
         }
-        if (!rank.canIssue(DramCommand::Activate, bi, phys, now)) {
-            // Activate legality is row-independent (tRRD/tFAW and the
-            // bank's tRC window), so the verdict covers the bank.
-            verdict[flat] = kVerdictActWait;
-            ++nActWait;
-            continue;
-        }
-        if (listener_ != nullptr &&
-            listener_->actAllowedAt(chIdx, flat, phys, now) > now) {
-            stats_.inc(h_.p2SkipThrottled);
-            continue;
-        }
-        issueCmd(c, ri, DramCommand::Activate, bi, phys, now);
-        stats_.inc(h_.activations);
-        flushSkips();
-        if (listener_) {
-            listener_->onActivate(chIdx, flat, phys, now);
-            // The mitigation may have remapped rows; refresh the
-            // cached translation of the request that opened this one.
-            invalidateReqCache(c, req);
-            physRowOf(chIdx, c, req);
-        }
+    }
+    for (std::size_t v = 0; v < kWaitVerdicts; ++v) {
+        if (skipped[v] > 0)
+            stats_.inc(h_.p2Skip[v], skipped[v]);
+    }
+    // (a): the walk revalidated the act-wait requests it passed.
+    // Open waiting banks hold no stale request (asserted above).
+    for (const std::uint32_t flat : toCommit_) {
+        BankQueue &bq = q.banks[flat];
+        const auto older = olderThanWinner(bq);
+        for (auto it = bq.reqs.begin(); it != older; ++it)
+            physRowOf(chIdx, c, *it);
+    }
+    if (!win)
+        return false;
+
+    const std::uint32_t ri = win->flat / org_.banksPerRank;
+    const std::uint32_t bi = win->flat % org_.banksPerRank;
+    if (verdict_[win->flat] == Verdict::GoPre) {
+        issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
+        stats_.inc(h_.rowConflicts);
         return true;
     }
-    flushSkips();
-    return false;
+    const RowId phys = q.banks[win->flat].reqs[win->next].physRow;
+    issueCmd(c, ri, DramCommand::Activate, bi, phys, now);
+    stats_.inc(h_.activations);
+    if (listener_) {
+        listener_->onActivate(chIdx, win->flat, phys, now);
+        // The mitigation may have remapped rows; refresh the cached
+        // translation of the request that opened this one.
+        MemRequest &req = q.banks[win->flat].reqs[win->next];
+        invalidateReqCache(c, req);
+        physRowOf(chIdx, c, req);
+    }
+    return true;
 }
 
 bool
@@ -613,15 +646,13 @@ MemoryController::bankHasPendingHit(const ChannelState &c,
                                     std::uint32_t bank,
                                     RowId openRow) const
 {
-    // Formerly a scan of both queues per call (the simulator's top
-    // hotspot); the incremental counters answer in O(1).  Semantics
-    // are unchanged: only requests whose cached translation is
-    // current can register as hits, and writes count only while the
-    // channel is draining (otherwise a parked write would wedge the
-    // bank open forever).
-    const std::uint32_t flat = flatBank(c, rank, bank);
+    // Only requests whose cached translation is current register as
+    // hits, and writes count only while the channel is draining
+    // (otherwise a parked write would wedge the bank open forever).
+    const std::uint32_t flat = flatBank(rank, bank);
     SRS_ASSERT(c.openRowArr[flat] == openRow, "open-row mirror stale");
-    return c.readHit[flat] > 0 || (c.draining && c.writeHit[flat] > 0);
+    return c.readQ.banks[flat].hits > 0 ||
+           (c.draining && c.writeQ.banks[flat].hits > 0);
 }
 
 bool
@@ -633,8 +664,8 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
         return false;
     const std::uint32_t banks =
         org_.ranksPerChannel * org_.banksPerRank;
-    for (std::uint32_t step = 0; step < banks; ++step) {
-        const std::uint32_t flat = (c.closeCursor + step) % banks;
+    for (std::uint32_t step = 0, flat = c.closeCursor; step < banks;
+         ++step, flat = flat + 1 == banks ? 0 : flat + 1) {
         if (c.openRowArr[flat] == kInvalidRow)
             continue;
         const std::uint32_t ri = flat / org_.banksPerRank;
@@ -649,7 +680,7 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
             continue;
         issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
         stats_.inc(h_.idleCloses);
-        c.closeCursor = (flat + 1) % banks;
+        c.closeCursor = flat + 1 == banks ? 0 : flat + 1;
         return true;
     }
     return false;
@@ -661,7 +692,7 @@ MemoryController::tickChannel(std::uint32_t ch, Cycle now)
     ChannelState &c = channels_[ch];
     if (manageRefresh(c, now))
         return;
-    if (startMigration(ch, c, now))
+    if (startMigration(c, now))
         return;
     updateDrainState(c);
     bool issued = false;
@@ -670,7 +701,7 @@ MemoryController::tickChannel(std::uint32_t ch, Cycle now)
                  serviceQueue(ch, c, c.readQ, false, now);
     } else {
         issued = serviceQueue(ch, c, c.readQ, false, now);
-        if (!issued && liveWrites(c) > 0 && liveReads(c) == 0)
+        if (!issued && c.writeQ.live > 0 && c.readQ.live == 0)
             issued = serviceQueue(ch, c, c.writeQ, true, now);
     }
     if (!issued && cfg_.pagePolicy == PagePolicy::Closed)
@@ -712,7 +743,7 @@ MemoryController::idle(Cycle now) const
     for (const auto &c : channels_) {
         if (!c.pendingReads.empty())
             return false;
-        if (liveReads(c) > 0 || liveWrites(c) > 0 || c.migCount > 0)
+        if (c.readQ.live > 0 || c.writeQ.live > 0 || c.migCount > 0)
             return false;
         for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
             const Rank &rank = c.ranks[ri];

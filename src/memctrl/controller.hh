@@ -3,7 +3,8 @@
  * Cycle-level DDR4 memory controller (USIMM-equivalent abstraction).
  *
  * Per channel: a read queue, a posted write queue with high/low
- * watermark draining, FCFS-with-ready-first scheduling under a
+ * watermark draining (both kept as per-bank, age-ordered request
+ * lists), FCFS-with-ready-first scheduling under a
  * closed-page policy (the paper's assumption; open-page is available
  * for the Section VIII-3 study), tREFI/tRFC refresh with JEDEC
  * postponement, and a per-bank migration-job queue through which Row
@@ -47,7 +48,11 @@ class MemCtrlListener
   public:
     virtual ~MemCtrlListener() = default;
 
-    /** Translate a logical row to its current physical row. */
+    /**
+     * Translate a logical row to its current physical row.  Must be
+     * free of side effects: the scheduler also calls it to peek at a
+     * translation it does not commit yet.
+     */
     virtual RowId
     remapRow(std::uint32_t channel, std::uint32_t bank, RowId logical)
     {
@@ -169,11 +174,34 @@ class MemoryController
         bool operator>(const PendingRead &o) const { return done > o.done; }
     };
 
+    /**
+     * The live requests of one queue (read or write) to one bank,
+     * oldest first.  Ids only grow, so appending keeps the list in
+     * age order and a binary search on id splits it at any age.
+     */
+    struct BankQueue
+    {
+        std::vector<MemRequest> reqs;
+        /** requests whose cached translation is current (mapVersion
+         *  matches) and equals the bank's open row */
+        std::uint32_t hits = 0;
+        /** requests whose cached translation is out of date */
+        std::uint32_t stale = 0;
+    };
+
+    /** One channel's read or write queue, split per flat bank. */
+    struct RequestQueue
+    {
+        std::vector<BankQueue> banks;
+        /** live requests across all banks */
+        std::uint32_t live = 0;
+    };
+
     struct ChannelState
     {
         std::vector<Rank> ranks;
-        std::vector<MemRequest> readQ;
-        std::vector<MemRequest> writeQ;
+        RequestQueue readQ;
+        RequestQueue writeQ;
         /** per (rank, bank) migration queues, flattened */
         std::vector<std::deque<MigrationJob>> migQ;
         bool draining = false;
@@ -184,57 +212,64 @@ class MemoryController
         std::uint64_t mapVersion = 1;
         /** round-robin cursor for idle-close precharges */
         std::uint32_t closeCursor = 0;
-
-        // Incrementally-maintained scheduler state.  The invariant,
-        // re-established by every queue/bank/remap mutation: for each
-        // flat bank, readHit/writeHit count the live queued requests
-        // whose cached translation is current (mapVersion matches)
-        // and equals that bank's open row; readStale/writeStale count
-        // live requests whose cached translation is out of date.
-        // This turns bankHasPendingHit — formerly a full two-queue
-        // scan per precharge decision — into an array read.
-
-        /** mirror of each bank's open row (kInvalidRow when closed) */
+        /** mirror of each bank's open row (kInvalidRow when closed);
+         *  every BankQueue::hits counts against it */
         std::vector<RowId> openRowArr;
-        std::vector<std::uint32_t> readHit;
-        std::vector<std::uint32_t> writeHit;
-        std::uint32_t readHitSum = 0;
-        std::uint32_t writeHitSum = 0;
-        std::uint32_t readStale = 0;
-        std::uint32_t writeStale = 0;
-        /** tombstoned (served, not yet compacted) entries per queue */
-        std::uint32_t readDead = 0;
-        std::uint32_t writeDead = 0;
         /** banks currently holding an open row */
         std::uint32_t openCount = 0;
         /** queued-but-unstarted migration jobs across all banks */
         std::uint64_t migCount = 0;
-        /**
-         * Per-scan scratch for serviceQueue pass 2: the memoized
-         * skip verdict per flat bank (bank state cannot change
-         * mid-scan, so one verdict covers every later request to
-         * the same bank).  Kept here to avoid per-tick allocation.
-         */
-        std::vector<std::uint8_t> p2Verdict;
 
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
                             std::greater<>> pendingReads;
     };
 
+    /** Pass-2 verdict on a bank, from its oldest request. */
+    enum class Verdict : std::uint8_t
+    {
+        Busy,     ///< rank refreshing or bank blocked by a migration
+        Forced,   ///< forced-refresh mode: no new ACT on the rank
+        HitWait,  ///< open row still has a queued hit
+        PreWait,  ///< conflict, but the PRE is not yet legal
+        ActWait,  ///< closed, but the ACT is not yet legal
+        GoPre,    ///< conflict and the PRE is legal
+        GoAct,    ///< closed and the ACT is legal (row throttling aside)
+    };
+    /** Busy..ActWait: the verdicts whose requests are skipped */
+    static constexpr std::size_t kWaitVerdicts = 5;
+
+    /** A go bank during the pass-2 age-ordered walk. */
+    struct GoCursor
+    {
+        std::uint32_t flat;
+        std::uint32_t next;  ///< index of the oldest unvisited request
+    };
+
     void drainCompletedReads(ChannelState &c, Cycle now);
     void tickChannel(std::uint32_t ch, Cycle now);
     bool manageRefresh(ChannelState &c, Cycle now);
-    bool startMigration(std::uint32_t chIdx, ChannelState &c, Cycle now);
+    bool startMigration(ChannelState &c, Cycle now);
     bool serviceQueue(std::uint32_t chIdx, ChannelState &c,
-                      std::vector<MemRequest> &q, bool isWrite, Cycle now);
+                      RequestQueue &q, bool isWrite, Cycle now);
+    bool serveRowHit(std::uint32_t chIdx, ChannelState &c,
+                     RequestQueue &q, bool isWrite, Cycle now);
+    bool openOldest(std::uint32_t chIdx, ChannelState &c,
+                    RequestQueue &q, Cycle now);
     bool idleClose(ChannelState &c, Cycle now);
     bool bankHasPendingHit(const ChannelState &c, std::uint32_t rank,
                            std::uint32_t bank, RowId openRow) const;
+    /** translate and commit the translation to the request's cache */
     RowId physRowOf(std::uint32_t chIdx, ChannelState &c, MemRequest &req);
+    /** translate without touching the request or any counter */
+    RowId peekPhysRow(std::uint32_t chIdx, const ChannelState &c,
+                      const MemRequest &req) const;
     void updateDrainState(ChannelState &c);
-    std::uint32_t flatBank(const ChannelState &c, std::uint32_t rank,
-                           std::uint32_t bank) const;
+    std::uint32_t flatBank(std::uint32_t rank, std::uint32_t bank) const
+    {
+        return rank * org_.banksPerRank + bank;
+    }
+    BankQueue &bankQueueOf(ChannelState &c, const MemRequest &req);
 
     /** issue through the rank, keeping open-row mirrors + hit counts. */
     Cycle issueCmd(ChannelState &c, std::uint32_t rank, DramCommand cmd,
@@ -242,24 +277,15 @@ class MemoryController
                    bool autoPre = false);
     /** rebuild one bank's hit counters after its open row changed. */
     void recountBankHits(ChannelState &c, std::uint32_t flat);
-    /** tombstone a served request, maintaining the counters. */
-    void killRequest(ChannelState &c, MemRequest &req);
-    /** amortized removal of tombstoned entries. */
-    void compactIfNeeded(ChannelState &c, std::vector<MemRequest> &q,
-                         bool isWrite);
+    /** remove a served request from its bank queue. */
+    void retireRequest(ChannelState &c, RequestQueue &q, std::uint32_t flat,
+                       std::size_t idx);
     /** counter-aware replacement for `req.mapVersion = 0`. */
     void invalidateReqCache(ChannelState &c, MemRequest &req);
-    /** true when a read of @p line would be served from the write queue */
-    bool wouldForward(const ChannelState &c, Addr line) const;
-
-    std::uint32_t liveReads(const ChannelState &c) const
-    {
-        return static_cast<std::uint32_t>(c.readQ.size()) - c.readDead;
-    }
-    std::uint32_t liveWrites(const ChannelState &c) const
-    {
-        return static_cast<std::uint32_t>(c.writeQ.size()) - c.writeDead;
-    }
+    /** true when a read of @p addr (decoded to @p coord) would be
+     *  served from the write queue */
+    bool wouldForward(const ChannelState &c, const DramCoord &coord,
+                      Addr addr) const;
 
     DramOrg org_;
     DramTiming timing_;
@@ -274,6 +300,17 @@ class MemoryController
     StatSet stats_;
     LatencyHistogram readLatency_;
 
+    // Per-scan scratch, kept to avoid per-tick allocation (the
+    // controller is serial, so the channels share it).
+    /** pass-2 verdict per flat bank */
+    std::vector<Verdict> verdict_;
+    /** pass-2 go banks */
+    std::vector<GoCursor> go_;
+    /** banks whose stale requests the scan revalidates up to its
+     *  winner: schedulable open banks in pass 1, act-wait banks in
+     *  pass 2 */
+    std::vector<std::uint32_t> toCommit_;
+
     /** Interned counter handles for the per-command hot paths. */
     struct StatHandles
     {
@@ -281,8 +318,9 @@ class MemoryController
             readsCompleted, readLatencyCycles, refreshes,
             forcedPrecharges, latentActivations, migrationBusyCycles,
             writesIssued, readsIssued, rowHits, rowConflicts,
-            activations, idleCloses, p2SkipBusy, p2SkipForced,
-            p2SkipHitWait, p2SkipPreWait, p2SkipActWait, p2SkipThrottled;
+            activations, idleCloses, p2SkipThrottled;
+        /** requests skipped in pass 2, by their bank's wait verdict */
+        StatSet::Handle p2Skip[kWaitVerdicts];
         StatSet::Handle migScheduled[4], migStarted[4];
     };
     StatHandles h_;

@@ -19,7 +19,9 @@ namespace srs
 /** One demand access (an LLC miss or writeback) to main memory. */
 struct MemRequest
 {
-    std::uint64_t id = 0;       ///< unique tag, assigned by controller
+    /** unique tag assigned by the controller; ids only grow, so id
+     *  order is arrival (age) order */
+    std::uint64_t id = 0;
     Addr addr = kInvalidAddr;   ///< byte address (logical / OS view)
     bool isWrite = false;
     CoreId core = 0;
@@ -30,13 +32,6 @@ struct MemRequest
     std::uint64_t mapVersion = 0;///< remap-cache validity stamp
 
     Cycle completion = kNoCycle;///< data-return cycle once issued
-
-    /**
-     * Tombstone: the request was served and awaits queue compaction.
-     * Scheduler scans skip dead entries; compaction is amortized so
-     * serving a request never pays an O(queue) vector::erase.
-     */
-    bool dead = false;
 };
 
 /** Activation charge to a physical row embedded in a migration. */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 
 #include "common/rng.hh"
 #include "common/logging.hh"
@@ -429,6 +430,165 @@ TEST(ForwardingReject, ForwardEligibleReadAcceptedWhenReadQueueFull)
     ASSERT_FALSE(done.empty());
     EXPECT_EQ(done[0], written);
     EXPECT_EQ(ctrl.stats().get("reads_forwarded"), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Scheduling order across banks: FR-FCFS picks by request age, never
+// by bank index.
+// ---------------------------------------------------------------------
+
+TEST(SchedulingOrder, OldestHitAcrossOpenBanksIsServedFirst)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemCtrlConfig cfg;
+    cfg.pagePolicy = PagePolicy::Open;
+    MemoryController ctrl(org, timing, cfg);
+    const AddressMap &map = ctrl.addressMap();
+    std::vector<Addr> done;
+    ctrl.setReadCallback([&done](const MemRequest &req) {
+        done.push_back(req.addr);
+    });
+
+    // Open row 10 in bank 0 and row 20 in bank 5.
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 10), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 5, 20), false, 0, 0);
+    Cycle now = 0;
+    for (; done.size() < 2 && now < 10'000; now += timing.busClock)
+        ctrl.tick(now);
+    ASSERT_EQ(done.size(), 2u);
+    ASSERT_EQ(ctrl.bankAt(0, 0).openRow(), 10u);
+    ASSERT_EQ(ctrl.bankAt(0, 5).openRow(), 20u);
+
+    // Two hits, the older one in the higher-numbered bank.
+    done.clear();
+    const Addr older = map.rowBaseAddr(0, 0, 5, 20) + 64;
+    const Addr younger = map.rowBaseAddr(0, 0, 0, 10) + 64;
+    ctrl.enqueue(older, false, 0, now);
+    ctrl.enqueue(younger, false, 0, now);
+    const std::uint64_t hitsBefore = ctrl.stats().get("row_hits");
+    ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().get("row_hits"), hitsBefore + 1);
+    for (; done.size() < 2 && now < 20'000; now += timing.busClock)
+        ctrl.tick(now);
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0], older);
+    EXPECT_EQ(done[1], younger);
+    EXPECT_EQ(ctrl.stats().get("activations"), 2u);
+}
+
+/** Identity-mapping listener that counts translations per row. */
+struct RemapCounter : public MemCtrlListener
+{
+    std::map<RowId, std::uint32_t> calls;
+
+    RowId
+    remapRow(std::uint32_t, std::uint32_t, RowId logical) override
+    {
+        ++calls[logical];
+        return logical;
+    }
+};
+
+TEST(SchedulingOrder, YoungerRequestActivatesWhileOldestBankWaitsOnTrc)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    RemapCounter listener;
+    ctrl.setListener(&listener);
+    const AddressMap &map = ctrl.addressMap();
+    const Bank &bank0 = ctrl.bankAt(0, 0);
+    const Bank &bank3 = ctrl.bankAt(0, 3);
+
+    // Open and (closed-page) idle-close bank 0: right after the
+    // precharge its tRC window still forbids a new ACT.
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 10), false, 0, 0);
+    Cycle now = 0;
+    bool opened = false;
+    for (; now < 10'000; now += timing.busClock) {
+        ctrl.tick(now);
+        opened = opened || bank0.rowOpen();
+        if (opened && !bank0.rowOpen())
+            break;
+    }
+    now += timing.busClock;
+    ASSERT_TRUE(opened);
+    ASSERT_FALSE(bank0.rowOpen());
+    ASSERT_LT(now, bank0.actReadyAt());
+
+    // The oldest request waits on bank 0's tRC; the younger one in
+    // bank 3 activates in the same tick.
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 11), false, 0, now);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 3, 7), false, 0, now);
+    const std::uint64_t waitsBefore = ctrl.stats().get("p2_skip_act_wait");
+    ctrl.tick(now);
+    EXPECT_FALSE(bank0.rowOpen());
+    ASSERT_TRUE(bank3.rowOpen());
+    EXPECT_EQ(bank3.openRow(), 7u);
+    EXPECT_EQ(ctrl.stats().get("p2_skip_act_wait"), waitsBefore + 1);
+    EXPECT_EQ(ctrl.stats().get("activations"), 2u);
+    // The scan translated the waiting request on its way to the
+    // winner, as an age-ordered walk over the whole queue does.
+    EXPECT_EQ(listener.calls[11], 1u);
+}
+
+TEST(SchedulingOrder, ThrottledOldestFallsThroughToNextOldestInSameBank)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    ThrottleListener listener;
+    listener.row = 50;
+    listener.until = 1'000'000;
+    ctrl.setListener(&listener);
+    const AddressMap &map = ctrl.addressMap();
+
+    // Bank 0: throttled row 50, then row 60.  Bank 2: an even
+    // younger request, which must not jump ahead of row 60.
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 50), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 60), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 2, 70), false, 0, 0);
+    ctrl.tick(0);
+    ASSERT_TRUE(ctrl.bankAt(0, 0).rowOpen());
+    EXPECT_EQ(ctrl.bankAt(0, 0).openRow(), 60u);
+    EXPECT_FALSE(ctrl.bankAt(0, 2).rowOpen());
+    EXPECT_EQ(ctrl.stats().get("p2_skip_throttled"), 1u);
+    EXPECT_EQ(listener.queries, 2u);
+    EXPECT_EQ(ctrl.stats().get("activations"), 1u);
+}
+
+TEST(SchedulingOrder, ReadForwardsFromItsBankAmongOtherBanksWrites)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    const AddressMap &map = ctrl.addressMap();
+    std::vector<Addr> done;
+    ctrl.setReadCallback([&done](const MemRequest &req) {
+        done.push_back(req.addr);
+    });
+
+    // Posted writes to banks 1, 2 and 3 around the one to bank 0.
+    const Addr target = map.rowBaseAddr(0, 0, 0, 50) + 128;
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 1, 50) + 128, true, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 2, 9), true, 0, 0);
+    ctrl.enqueue(target, true, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 3, 50) + 128, true, 0, 0);
+
+    // Same line (another byte of it) forwards; the neighbouring line
+    // of the same row does not.
+    EXPECT_TRUE(ctrl.canAccept(target + 8, false));
+    ctrl.enqueue(target + 8, false, 0, 0);
+    EXPECT_EQ(ctrl.stats().get("reads_forwarded"), 1u);
+    ctrl.enqueue(target + 64, false, 0, 0);
+    EXPECT_EQ(ctrl.stats().get("reads_forwarded"), 1u);
+    EXPECT_EQ(ctrl.stats().get("reads_enqueued"), 1u);
+
+    ctrl.tick(0);
+    ctrl.tick(timing.busClock);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0], target + 8);
 }
 
 } // namespace
