@@ -32,8 +32,31 @@ class Bank
   public:
     Bank(const DramTiming &timing, std::uint32_t rowsPerBank);
 
-    /** @return true when @p cmd to @p row may issue at @p now. */
-    bool canIssue(DramCommand cmd, RowId row, Cycle now) const;
+    /**
+     * @return true when @p cmd to @p row may issue at @p now.
+     * Inline: the controller asks on every scan of every bank.
+     */
+    bool
+    canIssue(DramCommand cmd, RowId row, Cycle now) const
+    {
+        if (now < blockedUntil_)
+            return false;
+        switch (cmd) {
+          case DramCommand::Activate:
+            return !rowOpen() && now >= actReady_ && row < rowsPerBank_;
+          case DramCommand::Read:
+            return rowOpen() && openRow_ == row && now >= rdReady_;
+          case DramCommand::Write:
+            return rowOpen() && openRow_ == row && now >= wrReady_;
+          case DramCommand::Precharge:
+            return now >= preReady_;
+          case DramCommand::Refresh:
+            // Refresh legality (all banks closed) is enforced at rank
+            // level.
+            return !rowOpen() && now >= actReady_;
+        }
+        return false;
+    }
 
     /**
      * Issue a command, updating timing windows.

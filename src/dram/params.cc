@@ -19,6 +19,11 @@ DramOrg::validate() const
         !isPowerOfTwo(lineBytes)) {
         fatal("DramOrg: geometry fields must be powers of two");
     }
+    // The memory controller keeps one 64-bit bank mask per rank.
+    if (banksPerRank > 64) {
+        fatal("DramOrg: banksPerRank ", banksPerRank,
+              " exceeds 64 (the controller's per-rank bank mask)");
+    }
     if (rowBytes < lineBytes)
         fatal("DramOrg: row smaller than a cache line");
 }

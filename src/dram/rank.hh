@@ -42,9 +42,35 @@ class Rank
         return static_cast<std::uint32_t>(banks_.size());
     }
 
-    /** @return true when rank-level rules admit @p cmd at @p now. */
-    bool canIssue(DramCommand cmd, std::uint32_t bankIdx, RowId row,
-                  Cycle now) const;
+    /**
+     * @return true when rank-level rules admit @p cmd at @p now.
+     * Inline: the controller asks on every scan of every bank.
+     */
+    bool
+    canIssue(DramCommand cmd, std::uint32_t bankIdx, RowId row,
+             Cycle now) const
+    {
+        if (refreshing(now))
+            return false;
+        if (cmd == DramCommand::Activate && actCount_ > 0) {
+            if (now < lastAct_ + timing_.tRRD)
+                return false;
+            // Four-activate window: once four ACTs have issued, the
+            // fourth-last must be at least tFAW in the past.
+            if (actCount_ >= actWindow_.size()) {
+                const Cycle oldest = actWindow_[actWindowHead_];
+                if (now < oldest + timing_.tFAW)
+                    return false;
+            }
+        }
+        if (cmd == DramCommand::Read || cmd == DramCommand::Write) {
+            const Cycle dataStart = now +
+                (cmd == DramCommand::Read ? timing_.tCAS : timing_.tCWL);
+            if (!busFree(dataStart, timing_.tBL))
+                return false;
+        }
+        return banks_[bankIdx].canIssue(cmd, row, now);
+    }
 
     /**
      * Issue through the rank (applies pacing, then delegates to the
@@ -65,8 +91,19 @@ class Rank
     /** Count of refreshes performed since construction. */
     std::uint64_t refreshCount() const { return refreshCount_; }
 
+    /** @return true when the shared data bus is free for
+     *  [start, start+len). */
+    bool
+    busFree(Cycle start, Cycle len) const
+    {
+        (void)len;
+        // The bus is modelled as busy-until: transfers are queued in
+        // issue order, so a transfer starting at or after the current
+        // horizon is conflict-free.
+        return start >= busBusyUntil_;
+    }
+
     /** Reserve the shared data bus [start, start+len). */
-    bool busFree(Cycle start, Cycle len) const;
     void reserveBus(Cycle start, Cycle len);
 
   private:

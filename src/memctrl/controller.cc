@@ -1,6 +1,7 @@
 #include "memctrl/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
 
@@ -15,6 +16,19 @@ namespace
 /** Id above every real request: "no winner". */
 constexpr std::uint64_t kNoRequest =
     std::numeric_limits<std::uint64_t>::max();
+
+/** Index of the lowest set bit of a non-zero bank mask. */
+std::uint32_t
+lowestBank(std::uint64_t mask)
+{
+    return static_cast<std::uint32_t>(std::countr_zero(mask));
+}
+
+std::uint64_t
+bankBit(std::uint32_t bank)
+{
+    return std::uint64_t{1} << bank;
+}
 
 } // namespace
 
@@ -47,8 +61,11 @@ MemoryController::MemoryController(const DramOrg &org,
         c.nextRefreshDue.assign(org_.ranksPerChannel, timing_.tREFI);
         c.refreshDebt.assign(org_.ranksPerChannel, 0);
         c.openRowArr.assign(flats, kInvalidRow);
-        c.readQ.banks.resize(flats);
-        c.writeQ.banks.resize(flats);
+        c.openMask.assign(org_.ranksPerChannel, 0);
+        for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+            q->banks.resize(flats);
+            q->nonEmpty.assign(org_.ranksPerChannel, 0);
+        }
     }
     verdict_.resize(flats);
     go_.reserve(flats);
@@ -153,10 +170,12 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
         return req.id;
     }
     stats_.inc(isWrite ? h_.writesEnqueued : h_.readsEnqueued);
-    BankQueue &bq = bankQueueOf(c, req);
+    RequestQueue &q = isWrite ? c.writeQ : c.readQ;
+    BankQueue &bq = q.banks[flatBank(req.coord.rank, req.coord.bank)];
     bq.reqs.push_back(req);
     ++bq.stale; // no translation cached yet
-    ++(isWrite ? c.writeQ : c.readQ).live;
+    q.nonEmpty[req.coord.rank] |= bankBit(req.coord.bank);
+    ++q.live;
     return req.id;
 }
 
@@ -342,10 +361,10 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
     if (open != c.openRowArr[flat]) {
-        if (c.openRowArr[flat] == kInvalidRow)
-            ++c.openCount;
-        else if (open == kInvalidRow)
-            --c.openCount;
+        if (open == kInvalidRow)
+            c.openMask[rank] &= ~bankBit(bank);
+        else
+            c.openMask[rank] |= bankBit(bank);
         c.openRowArr[flat] = open;
         recountBankHits(c, flat);
     }
@@ -378,7 +397,10 @@ MemoryController::retireRequest(ChannelState &c, RequestQueue &q,
         --bq.stale;
     else if (req.physRow == c.openRowArr[flat])
         --bq.hits;
+    const DramCoord coord = req.coord;
     bq.reqs.erase(bq.reqs.begin() + static_cast<std::ptrdiff_t>(idx));
+    if (bq.reqs.empty())
+        q.nonEmpty[coord.rank] &= ~bankBit(coord.bank);
     --q.live;
 }
 
@@ -426,9 +448,8 @@ MemoryController::serveRowHit(std::uint32_t chIdx, ChannelState &c,
                               RequestQueue &q, bool isWrite, Cycle now)
 {
     // Pass 1 (FR of FR-FCFS): serve the oldest queued row-buffer hit
-    // among the banks that can take a column command now.
-    if (c.openCount == 0)
-        return false;
+    // among the banks that can take a column command now.  Only open
+    // banks with queued requests can hold one.
     const DramCommand cas =
         isWrite ? DramCommand::Write : DramCommand::Read;
     std::uint64_t winId = kNoRequest;
@@ -437,15 +458,17 @@ MemoryController::serveRowHit(std::uint32_t chIdx, ChannelState &c,
     toCommit_.clear();
     for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
         Rank &rank = c.ranks[ri];
-        if (rank.refreshing(now))
+        std::uint64_t candidates = c.openMask[ri] & q.nonEmpty[ri];
+        if (candidates == 0 || rank.refreshing(now))
             continue;
-        for (std::uint32_t bi = 0; bi < org_.banksPerRank; ++bi) {
+        for (; candidates != 0; candidates &= candidates - 1) {
+            const std::uint32_t bi = lowestBank(candidates);
             const std::uint32_t flat = flatBank(ri, bi);
             const RowId open = c.openRowArr[flat];
             const BankQueue &bq = q.banks[flat];
             // Neither a current hit nor a stale translation that could
             // turn out to be one.
-            if (open == kInvalidRow || (bq.hits == 0 && bq.stale == 0) ||
+            if ((bq.hits == 0 && bq.stale == 0) ||
                 rank.bank(bi).blocked(now)) {
                 continue;
             }
@@ -508,16 +531,18 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
     go_.clear();
     toCommit_.clear();
     for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
+        std::uint64_t queued = q.nonEmpty[ri];
+        if (queued == 0)
+            continue;
         Rank &rank = c.ranks[ri];
         const bool refreshing = rank.refreshing(now);
         // Forced-refresh mode: no new activations on this rank.
         const bool forced =
             c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes;
-        for (std::uint32_t bi = 0; bi < org_.banksPerRank; ++bi) {
+        for (; queued != 0; queued &= queued - 1) {
+            const std::uint32_t bi = lowestBank(queued);
             const std::uint32_t flat = flatBank(ri, bi);
             const BankQueue &bq = q.banks[flat];
-            if (bq.reqs.empty())
-                continue;
             const Bank &bank = rank.bank(bi);
             Verdict v;
             if (refreshing || bank.blocked(now)) {
@@ -592,16 +617,18 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
             [winId](const MemRequest &r) { return r.id < winId; });
     };
     if (win) {
-        for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
-            const BankQueue &bq = q.banks[flat];
-            const Verdict v = verdict_[flat];
-            if (bq.reqs.empty() || v == Verdict::GoPre ||
-                v == Verdict::GoAct) {
-                continue;
+        for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
+            for (std::uint64_t queued = q.nonEmpty[ri]; queued != 0;
+                 queued &= queued - 1) {
+                const std::uint32_t flat = flatBank(ri, lowestBank(queued));
+                const Verdict v = verdict_[flat];
+                if (v == Verdict::GoPre || v == Verdict::GoAct)
+                    continue;
+                const BankQueue &bq = q.banks[flat];
+                skipped[static_cast<std::size_t>(v)] -=
+                    static_cast<std::uint64_t>(bq.reqs.end() -
+                                               olderThanWinner(bq));
             }
-            skipped[static_cast<std::size_t>(v)] -=
-                static_cast<std::uint64_t>(bq.reqs.end() -
-                                           olderThanWinner(bq));
         }
     }
     for (std::size_t v = 0; v < kWaitVerdicts; ++v) {
@@ -659,29 +686,38 @@ bool
 MemoryController::idleClose(ChannelState &c, Cycle now)
 {
     // Closed-page policy: proactively precharge one bank per tick
-    // whose open row has no queued hit.
-    if (c.openCount == 0)
-        return false;
-    const std::uint32_t banks =
-        org_.ranksPerChannel * org_.banksPerRank;
-    for (std::uint32_t step = 0, flat = c.closeCursor; step < banks;
-         ++step, flat = flat + 1 == banks ? 0 : flat + 1) {
-        if (c.openRowArr[flat] == kInvalidRow)
-            continue;
-        const std::uint32_t ri = flat / org_.banksPerRank;
-        const std::uint32_t bi = flat % org_.banksPerRank;
+    // whose open row has no queued hit.  The open banks are visited
+    // round robin in flat order from the cursor, wrapping from the
+    // last rank to rank 0; the cursor's rank comes up twice, from the
+    // cursor's bank up first and below it last.
+    const std::uint32_t ranks = org_.ranksPerChannel;
+    const std::uint32_t startRank = c.closeCursor / org_.banksPerRank;
+    const std::uint64_t fromCursor =
+        ~std::uint64_t{0} << (c.closeCursor % org_.banksPerRank);
+    for (std::uint32_t k = 0, ri = startRank; k <= ranks;
+         ++k, ri = ri + 1 == ranks ? 0 : ri + 1) {
+        std::uint64_t open = c.openMask[ri];
+        if (k == 0)
+            open &= fromCursor;
+        else if (k == ranks)
+            open &= ~fromCursor;
         Rank &rank = c.ranks[ri];
-        Bank &bank = rank.bank(bi);
-        if (rank.refreshing(now) || bank.blocked(now) || !bank.rowOpen())
+        if (open == 0 || rank.refreshing(now))
             continue;
-        if (bankHasPendingHit(c, ri, bi, bank.openRow()))
-            continue;
-        if (!rank.canIssue(DramCommand::Precharge, bi, 0, now))
-            continue;
-        issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-        stats_.inc(h_.idleCloses);
-        c.closeCursor = flat + 1 == banks ? 0 : flat + 1;
-        return true;
+        for (; open != 0; open &= open - 1) {
+            const std::uint32_t bi = lowestBank(open);
+            const Bank &bank = rank.bank(bi);
+            if (bank.blocked(now) ||
+                bankHasPendingHit(c, ri, bi, bank.openRow()) ||
+                !rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
+                continue;
+            }
+            issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
+            stats_.inc(h_.idleCloses);
+            const std::uint32_t next = flatBank(ri, bi) + 1;
+            c.closeCursor = next == ranks * org_.banksPerRank ? 0 : next;
+            return true;
+        }
     }
     return false;
 }

@@ -193,6 +193,8 @@ class MemoryController
     struct RequestQueue
     {
         std::vector<BankQueue> banks;
+        /** per rank: bit b set while bank b's queue is non-empty */
+        std::vector<std::uint64_t> nonEmpty;
         /** live requests across all banks */
         std::uint32_t live = 0;
     };
@@ -215,8 +217,8 @@ class MemoryController
         /** mirror of each bank's open row (kInvalidRow when closed);
          *  every BankQueue::hits counts against it */
         std::vector<RowId> openRowArr;
-        /** banks currently holding an open row */
-        std::uint32_t openCount = 0;
+        /** per rank: bit b set while bank b holds an open row */
+        std::vector<std::uint64_t> openMask;
         /** queued-but-unstarted migration jobs across all banks */
         std::uint64_t migCount = 0;
 

@@ -33,6 +33,9 @@ BlockHammer::BlockHammer(MemoryController &ctrl,
     for (std::uint32_t i = 0; i < banks; ++i)
         filters_.emplace_back(bhCfg_.bloom, cfg_.seed + i);
     nextAllowed_.resize(banks);
+    throttledActs_ = stats_.handle("throttled_acts");
+    throttleStamps_ = stats_.handle("throttle_stamps");
+    rowsBlacklisted_ = stats_.handle("rows_blacklisted");
 
     // Until the first epoch boundary reports the real epoch length,
     // derive the 64 ms refresh window from tREFI (8192 refreshes).
@@ -80,8 +83,8 @@ BlockHammer::onActivate(std::uint32_t channel, std::uint32_t bank,
         nextAllowed_[idx].insert_or_assign(physRow, now + spacing_);
     (void)it;
     if (fresh)
-        stats_.inc("rows_blacklisted");
-    stats_.inc("throttle_stamps");
+        stats_.inc(rowsBlacklisted_);
+    stats_.inc(throttleStamps_);
 }
 
 Cycle
@@ -96,7 +99,7 @@ BlockHammer::actAllowedAt(std::uint32_t channel, std::uint32_t bank,
         nextAllowed_[idx].erase(it);
         return 0;
     }
-    stats_.inc("throttled_acts");
+    stats_.inc(throttledActs_);
     return it->second;
 }
 

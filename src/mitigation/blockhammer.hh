@@ -110,6 +110,9 @@ class BlockHammer : public Mitigation
     /** per bank: blacklisted row -> next allowed ACT cycle */
     std::vector<std::unordered_map<RowId, Cycle>> nextAllowed_;
     std::uint32_t banksPerChannel_;
+
+    /** Interned handles of the per-ACT counters. */
+    StatSet::Handle throttledActs_, throttleStamps_, rowsBlacklisted_;
 };
 
 } // namespace srs

@@ -43,6 +43,13 @@ run_expect_ok(perf --workload=gups --mitigation=rrs --trh=1200
               --rate=6 --cycles=60000 --epoch=25000 --csv)
 run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
               --rates=6 --cycles=60000 --epoch=25000 --threads=2)
+# perf takes the sweep's workload grammar, so a defended cell runs on
+# its own; a malformed generator spelling fails quoting the input.
+run_expect_ok(perf --workload=blend:zipf:4096@s=1.1+attack@0.05
+              --mitigation=blockhammer --trh=120 --rate=6 --cycles=60000
+              --epoch=25000 --csv)
+run_expect_fail(perf --workload=blend:zipf:64@s=1 --mitigation=blockhammer
+                --cycles=60000 STDERR "workload generator 'blend:zipf:64@s=1'")
 
 # MIX points and batched Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200

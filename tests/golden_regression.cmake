@@ -26,6 +26,13 @@
 # tracker, on gups, a hotspot and a blended attack, at T_RH 120, both
 # page policies, and a one-channel two-rank org next to the default.
 #
+# org_sweep: the edges of the controller's per-rank bank masks.
+# 1x4x64 fills all 64 bits of each rank's mask (bank 63 included)
+# and makes the closed-page idle close wrap from the last rank back
+# to rank 0; 2x2x32 and 8x1x4 cover half-full and nearly empty
+# masks across several channels.  Baseline, srs and blockhammer run
+# gups and a blended attack at T_RH 48 under both page policies.
+#
 # The regeneration runs at the default thread count: sweep CSVs are
 # byte-identical for any --threads value (that invariant has its own
 # tests), so the comparison is exact while the regeneration
@@ -60,6 +67,12 @@ elseif(name STREQUAL "sched_sweep")
       --mitigations=baseline,srs,blockhammer,aqua,rrs-no-unswap
       --tracker=hydra --trh=120 --rates=6 --page-policy=closed,open
       --org=2x1x16,1x2x8 --cycles=200000 --epoch=40000)
+elseif(name STREQUAL "org_sweep")
+  set(sweep_args
+      --workloads=gups,blend:zipf:4096@s=1.1+attack@0.05
+      --mitigations=baseline,srs,blockhammer --trh=48 --rates=6
+      --page-policy=closed,open --org=1x4x64,2x2x32,8x1x4
+      --cycles=200000 --epoch=40000)
 else()
   message(FATAL_ERROR "no sweep arguments known for golden '${name}'")
 endif()

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 #include "dram/address.hh"
 #include "dram/bank.hh"
@@ -62,6 +64,22 @@ TEST(Params, OrgValidateRejectsNonPow2Ranks)
     DramOrg org;
     org.ranksPerChannel = 3;
     EXPECT_THROW(org.validate(), FatalError);
+}
+
+TEST(Params, OrgValidateRejectsMoreThan64BanksPerRank)
+{
+    // The controller keeps one 64-bit bank mask per rank.
+    DramOrg org;
+    org.banksPerRank = 64;
+    EXPECT_NO_THROW(org.validate());
+    org.banksPerRank = 128;
+    try {
+        org.validate();
+        FAIL() << "validate() accepted 128 banks per rank";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("banksPerRank"),
+                  std::string::npos) << e.what();
+    }
 }
 
 TEST(Params, OrgCapacityMatchesTableIII)

@@ -591,5 +591,88 @@ TEST(SchedulingOrder, ReadForwardsFromItsBankAmongOtherBanksWrites)
     EXPECT_EQ(done[0], target + 8);
 }
 
+
+TEST(SchedulingOrder, IdleCloseWrapsAcrossRanks)
+{
+    // Closed page, one channel, two ranks of eight banks: flat banks
+    // 0-7 are rank 0, 8-15 rank 1.
+    DramOrg org;
+    org.channels = 1;
+    org.ranksPerChannel = 2;
+    org.banksPerRank = 8;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    const AddressMap &map = ctrl.addressMap();
+    const Bank &r0b3 = ctrl.bankAt(0, 3);
+    const Bank &r1b2 = ctrl.bankAt(0, 8 + 2);
+
+    // Open and idle-close rank 1 bank 5: the close cursor moves past
+    // it (flat 13), into the last rank.
+    ctrl.enqueue(map.rowBaseAddr(0, 1, 5, 40), false, 0, 0);
+    Cycle now = 0;
+    for (; ctrl.stats().get("idle_closes") < 1 && now < 10'000;
+         now += timing.busClock) {
+        ctrl.tick(now);
+    }
+    ASSERT_EQ(ctrl.stats().get("idle_closes"), 1u);
+
+    // Open rank 1 bank 2 (flat 10, behind the cursor in the same
+    // rank) first and rank 0 bank 3 (flat 3) second, and serve both
+    // reads.
+    ctrl.enqueue(map.rowBaseAddr(0, 1, 2, 20), false, 0, now);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 3, 30), false, 0, now);
+    for (; ctrl.stats().get("reads_issued") < 3 && now < 20'000;
+         now += timing.busClock) {
+        ctrl.tick(now);
+    }
+    ASSERT_EQ(ctrl.stats().get("reads_issued"), 3u);
+    ASSERT_EQ(ctrl.stats().get("idle_closes"), 1u);
+    ASSERT_TRUE(r1b2.rowOpen());
+    ASSERT_TRUE(r0b3.rowOpen());
+
+    // Once both precharges are legal, one idle tick closes one bank:
+    // the round robin runs past the end of rank 1 and wraps to rank
+    // 0, so it reaches flat 3 before flat 10.
+    now += 1'000;
+    ASSERT_GE(now, r1b2.preReadyAt());
+    ASSERT_GE(now, r0b3.preReadyAt());
+    ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().get("idle_closes"), 2u);
+    EXPECT_FALSE(r0b3.rowOpen());
+    EXPECT_TRUE(r1b2.rowOpen());
+    ctrl.tick(now + timing.busClock);
+    EXPECT_EQ(ctrl.stats().get("idle_closes"), 3u);
+    EXPECT_FALSE(r1b2.rowOpen());
+}
+
+
+TEST(SchedulingOrder, SkipCountsStopAtTheWinnerInEveryRank)
+{
+    // One channel, two ranks of eight banks; bank 0 of rank 1 (flat
+    // 8) is busy with a migration.
+    DramOrg org;
+    org.channels = 1;
+    org.ranksPerChannel = 2;
+    org.banksPerRank = 8;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    const AddressMap &map = ctrl.addressMap();
+    MigrationJob job;
+    job.duration = 20'000;
+    ctrl.scheduleMigration(0, 8, job);
+    ctrl.tick(0);
+    ASSERT_TRUE(ctrl.bankAt(0, 8).blocked(timing.busClock));
+
+    // The busy bank holds one request older than the winner (rank 0
+    // bank 1) and one younger: only the older one counts as skipped.
+    ctrl.enqueue(map.rowBaseAddr(0, 1, 0, 10), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 1, 20), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 1, 0, 30), false, 0, 0);
+    ctrl.tick(timing.busClock);
+    ASSERT_TRUE(ctrl.bankAt(0, 1).rowOpen());
+    EXPECT_EQ(ctrl.stats().get("activations"), 1u);
+    EXPECT_EQ(ctrl.stats().get("p2_skip_busy"), 1u);
+}
+
 } // namespace
 } // namespace srs

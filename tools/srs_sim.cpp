@@ -5,7 +5,8 @@
  * Subcommands:
  *
  *   perf     run one workload under one defense and print IPC and
- *            normalized performance (optionally as CSV):
+ *            normalized performance (optionally as CSV); --workload
+ *            takes one item of the sweep's --workloads grammar:
  *              srs_sim perf --workload=gcc --mitigation=scale-srs
  *                      --trh=1200 --rate=3 [--tracker=misra-gries]
  *                      [--cycles=N] [--epoch=N] [--csv]
@@ -180,30 +181,51 @@ cmdPerf(const Options &opts)
     const bool csv = opts.getBool("csv", false);
     opts.rejectUnknown();
 
-    const WorkloadProfile &profile = profileByName(workload);
+    // The sweep's workload grammar: a profile name, zipf:/hotspot:/
+    // blend: generators or trace:<path>[;<path>…].  Everything is
+    // resolved before the baseline runs, so bad input fails first.
+    const WorkloadSpec spec = WorkloadSpec::parse(workload, exp.numCores);
+    const WorkloadProfile *profile =
+        spec.kind == WorkloadKind::Synthetic ? &profileByName(spec.name)
+                                             : nullptr;
+    std::vector<SharedTraceRecords> traces;
+    for (const std::string &path : spec.tracePaths)
+        traces.push_back(loadTraceRecords(path));
     const MitigationKind kind = mitigationKindFromName(defense);
+    const auto simulate = [&](const SystemConfig &cfg) {
+        switch (spec.kind) {
+          case WorkloadKind::Synthetic:
+            return runWorkload(cfg, *profile, exp);
+          case WorkloadKind::Generator:
+            return runWorkloadGenerator(cfg, spec.generator, exp);
+          case WorkloadKind::TraceFile:
+            return runWorkloadTrace(cfg, traces, exp);
+          case WorkloadKind::Mix:
+            break;
+        }
+        fatal("perf runs no MIX workload; use sweep --mix");
+    };
 
-    const SystemConfig baseCfg =
-        makeSystemConfig(exp, MitigationKind::None, trh, rate, tracker);
     const double baseIpc =
-        runWorkload(baseCfg, profile, exp).aggregateIpc;
-    const SystemConfig cfg =
-        makeSystemConfig(exp, kind, trh, rate, tracker);
-    const RunResult res = runWorkload(cfg, profile, exp);
+        simulate(makeSystemConfig(exp, MitigationKind::None, trh, rate,
+                                  tracker))
+            .aggregateIpc;
+    const RunResult res =
+        simulate(makeSystemConfig(exp, kind, trh, rate, tracker));
     const double norm = baseIpc > 0.0 ? res.aggregateIpc / baseIpc : 1.0;
 
     if (csv) {
         std::printf("workload,mitigation,trh,rate,ipc,baseline_ipc,"
                     "normalized,swaps,unswap_swaps,place_backs\n");
         std::printf("%s,%s,%u,%u,%.4f,%.4f,%.4f,%llu,%llu,%llu\n",
-                    workload.c_str(), defense.c_str(), trh, rate,
+                    spec.label().c_str(), defense.c_str(), trh, rate,
                     res.aggregateIpc, baseIpc, norm,
                     static_cast<unsigned long long>(res.swaps),
                     static_cast<unsigned long long>(res.unswapSwaps),
                     static_cast<unsigned long long>(res.placeBacks));
     } else {
         std::printf("workload %s under %s (T_RH %u, rate %u)\n",
-                    workload.c_str(), defense.c_str(), trh, rate);
+                    spec.label().c_str(), defense.c_str(), trh, rate);
         std::printf("  ipc        %.4f (baseline %.4f)\n",
                     res.aggregateIpc, baseIpc);
         std::printf("  normalized %.4f\n", norm);
@@ -771,7 +793,9 @@ usage()
         "subcommands and their flags (defaults in parentheses):\n"
         "\n"
         "  perf         one workload under one defense\n"
-        "    --workload=NAME (gcc)  --mitigation=KIND (scale-srs)\n"
+        "    --workload=SPEC (gcc): a profile name, zipf:…, hotspot:…,\n"
+        "    blend:…+attack@… or trace:<path>[;<path>]\n"
+        "    --mitigation=KIND (scale-srs)\n"
         "    --trh=N (1200)  --rate=N (3)  --tracker=KIND\n"
         "    --cycles=N (1500000)  --epoch=N (cycles/2)  --csv\n"
         "\n"
