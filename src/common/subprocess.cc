@@ -1,8 +1,10 @@
 #include "common/subprocess.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -55,14 +57,22 @@ spawnProcess(const std::vector<std::string> &argv,
     return pid;
 }
 
-bool
-pollProcess(long pid, int &status)
+long
+waitAnyChild(int &status, std::uint64_t timeoutMs)
 {
-    const pid_t r =
-        ::waitpid(static_cast<pid_t>(pid), &status, WNOHANG);
-    if (r < 0)
-        fatal("waitpid(", pid, ") failed: ", std::strerror(errno));
-    return r == static_cast<pid_t>(pid);
+    const auto deadline = std::chrono::steady_clock::now()
+                          + std::chrono::milliseconds(timeoutMs);
+    for (;;) {
+        const pid_t pid = ::waitpid(-1, &status, WNOHANG);
+        if (pid > 0)
+            return pid;
+        // ECHILD (no children at all) waits out the deadline too.
+        if (pid < 0 && errno != ECHILD && errno != EINTR)
+            fatal("waitpid failed: ", std::strerror(errno));
+        if (std::chrono::steady_clock::now() >= deadline)
+            return -1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 }
 
 int
@@ -131,8 +141,8 @@ spawnProcess(const std::vector<std::string> &, const std::string &)
     posixOnly();
 }
 
-bool
-pollProcess(long, int &)
+long
+waitAnyChild(int &, std::uint64_t)
 {
     posixOnly();
 }

@@ -1,19 +1,21 @@
 /**
  * @file
- * Child-process helpers shared by the supervision layers.
+ * Child-process helpers for the one shard supervisor.
  *
- * The orchestrator (sim/orchestrator.hh) and the fleet dispatcher
- * (farm/dispatcher.hh) both fork worker processes — a shard sweep
+ * FarmDispatcher (farm/dispatcher.hh), behind both `srs_sim farm`
+ * and `srs_sim orchestrate`, forks worker processes — a shard sweep
  * locally, or an ssh/scp client carrying one to another machine —
- * and both need the same primitives: spawn with output captured to a
- * log file, non-blocking reap, kill, and a human-readable exit
- * description.  POSIX-only (fork/execv/waitpid); every entry point
- * is fatal() on non-POSIX platforms.
+ * through these primitives: spawn with output captured to a log
+ * file, a bounded wait that wakes as soon as any child exits, kill,
+ * and a human-readable exit description.  POSIX-only
+ * (fork/execv/waitpid); every entry point is fatal() on non-POSIX
+ * platforms.
  */
 
 #ifndef SRS_COMMON_SUBPROCESS_HH
 #define SRS_COMMON_SUBPROCESS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,13 +38,17 @@ long spawnProcess(const std::vector<std::string> &argv,
                   const std::string &logPath);
 
 /**
- * Non-blocking reap of @p pid (waitpid WNOHANG).
+ * Reap whichever child of this process exits first, waiting at most
+ * @p timeoutMs milliseconds.  Polls waitpid(-1, WNOHANG) every
+ * millisecond, so it needs no signal handler and wakes within about
+ * 1 ms of an exit.  Any child may be reaped, so a caller that owns
+ * only some of its children must ignore pids it did not spawn.
  *
- * @return true when the child has exited — @p status then holds the
- *         raw waitpid status (decode with describeProcessExit or
- *         processExitCode); false while it is still running.
+ * @return the reaped pid, with @p status holding its raw waitpid
+ *         status (decode with describeProcessExit); -1 when no child
+ *         exited before the deadline.
  */
-bool pollProcess(long pid, int &status);
+long waitAnyChild(int &status, std::uint64_t timeoutMs);
 
 /** Blocking reap of @p pid; @return the raw waitpid status. */
 int waitProcess(long pid);

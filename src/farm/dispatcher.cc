@@ -1,13 +1,13 @@
 #include "farm/dispatcher.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -46,8 +46,6 @@ FarmDispatcher::FarmDispatcher(ShardManifest manifest,
         fatal("farm: the hostfile provides no hosts");
 }
 
-#if !defined(_WIN32)
-
 void
 FarmDispatcher::run(std::ostream &mergedOut)
 {
@@ -77,6 +75,9 @@ FarmDispatcher::run(std::ostream &mergedOut)
         bool checkedComplete = false;
     };
     std::vector<Live> live(n);
+    // Each shard CSV is read and validated once, when the shard is
+    // found complete; the kept rows feed the final stitch.
+    std::vector<std::vector<std::string>> rows(n);
     std::vector<std::uint64_t> digests(n);
     for (std::size_t k = 0; k < n; ++k) {
         digests[k] = SweepRunner::gridDigest(
@@ -88,12 +89,19 @@ FarmDispatcher::run(std::ostream &mergedOut)
         pending.push_back(k);
     std::vector<char> slotBusy(slots.size(), 0);
     ProgressClock clock(n);
+    double nextSample =
+        steadySec() + static_cast<double>(config_.pollMs) / 1e3;
 
     const auto localCsv = [&](std::size_t k) {
         return config_.dir + "/" + manifest_.shards[k].csv;
     };
     const auto logPath = [&](std::size_t k) {
         return config_.dir + "/shard" + std::to_string(k) + ".log";
+    };
+    const auto collect = [&](std::size_t k) {
+        rows[k].clear();
+        return validateShardCsv(manifest_.shards[k], manifest_.exp,
+                                localCsv(k), &rows[k]);
     };
     const auto freeSlot = [&]() -> std::size_t {
         for (std::size_t s = 0; s < slots.size(); ++s) {
@@ -238,9 +246,7 @@ FarmDispatcher::run(std::ostream &mergedOut)
             const std::size_t k = pending.front();
             if (!live[k].checkedComplete) {
                 live[k].checkedComplete = true;
-                if (validateShardCsv(manifest_.shards[k],
-                                     manifest_.exp, localCsv(k))
-                        .empty()) {
+                if (collect(k).empty()) {
                     pending.pop_front();
                     live[k].state = ShardState::Done;
                     live[k].rows = manifest_.shards[k].cells;
@@ -266,10 +272,46 @@ FarmDispatcher::run(std::ostream &mergedOut)
         if (!anyRunning && pending.empty())
             break;
 
+        // Sleep until a child exits or the next journal sample is
+        // due, whichever comes first: a finished shard is handled at
+        // once, and --poll-ms only sets the sampling cadence.
         writeStatus();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.pollMs));
+        const double untilSample = nextSample - steadySec();
+        int status = 0;
+        const long pid = waitAnyChild(
+            status, untilSample > 0 ? static_cast<std::uint64_t>(
+                                          std::ceil(untilSample * 1e3))
+                                    : 0);
         const double now = steadySec();
+
+        if (pid >= 0) {
+            std::size_t k = 0;
+            while (k < n && live[k].pid != pid)
+                ++k;
+            if (k == n)
+                continue; // not one of our shards
+            // Collect outputs before judging: the merge needs the
+            // CSV locally, and a failure keeps the pulled journal as
+            // the next attempt's resume point.
+            Transport &transport = *transports[slots[live[k].slot]];
+            transport.pull(manifest_.shards[k].csv);
+            transport.pull(manifest_.shards[k].csv + ".journal");
+            const std::string err = processExitedCleanly(status)
+                                        ? collect(k)
+                                        : describeProcessExit(status);
+            if (!err.empty()) {
+                handleFailure(k, err);
+                continue;
+            }
+            releaseSlot(k);
+            live[k].state = ShardState::Done;
+            live[k].rows = manifest_.shards[k].cells;
+            states_[k].done = true;
+            clock.sample(k, live[k].rows, now);
+            std::fprintf(stderr, "farm: shard %zu done\n", k);
+            continue;
+        }
+        nextSample = now + static_cast<double>(config_.pollMs) / 1e3;
 
         for (std::size_t k = 0; k < n; ++k) {
             if (live[k].state != ShardState::Running)
@@ -277,34 +319,6 @@ FarmDispatcher::run(std::ostream &mergedOut)
             Transport &transport = *transports[slots[live[k].slot]];
             const std::string journal =
                 manifest_.shards[k].csv + ".journal";
-            int status = 0;
-            if (pollProcess(live[k].pid, status)) {
-                // Collect outputs before judging: the merge needs
-                // the CSV locally, and a failure keeps the pulled
-                // journal as the next attempt's resume point.
-                transport.pull(manifest_.shards[k].csv);
-                transport.pull(journal);
-                std::string err;
-                if (processExitedCleanly(status)) {
-                    err = validateShardCsv(manifest_.shards[k],
-                                           manifest_.exp,
-                                           localCsv(k));
-                } else {
-                    err = describeProcessExit(status);
-                }
-                if (err.empty()) {
-                    releaseSlot(k);
-                    live[k].state = ShardState::Done;
-                    live[k].rows = manifest_.shards[k].cells;
-                    states_[k].done = true;
-                    clock.sample(k, live[k].rows, now);
-                    std::fprintf(stderr, "farm: shard %zu done\n",
-                                 k);
-                } else {
-                    handleFailure(k, err);
-                }
-                continue;
-            }
             if (transport.pull(journal)) {
                 const JournalScan scan = scanShardJournal(
                     config_.dir + "/" + journal,
@@ -337,19 +351,7 @@ FarmDispatcher::run(std::ostream &mergedOut)
 
     writeStatus();
     writeShardSummary(std::cerr, manifest_, states_, config_.dir);
-    mergeShards(manifest_, config_.dir, mergedOut);
+    stitchRows(manifest_, rows, mergedOut);
 }
-
-#else // _WIN32
-
-void
-FarmDispatcher::run(std::ostream &)
-{
-    fatal("srs_sim farm requires a POSIX platform (fork/waitpid); "
-          "run the shards from the manifest by hand and stitch with "
-          "'srs_sim merge'");
-}
-
-#endif
 
 } // namespace srs

@@ -1,6 +1,8 @@
 /**
  * @file
- * The fleet dispatcher behind `srs_sim farm`.
+ * The one shard supervisor, behind `srs_sim farm` and `srs_sim
+ * orchestrate` (a farm run on one implicit `local` host with --jobs
+ * slots and no staleness timeout).
  *
  * FarmDispatcher takes a planned orchestration (the shard manifest)
  * and a fleet (the hostfile) and runs the shards to completion
@@ -12,22 +14,27 @@
  *    shardCommandLine() argv — resume checkpoints are pushed ahead
  *    of the launch, so a restarted shard never recomputes finished
  *    cells;
- *  - supervision is journal-based: every poll pulls each running
- *    shard's checkpoint journal and samples its row count.  A shard
+ *  - a shard that exits is handled as soon as it exits
+ *    (waitAnyChild): its CSV is pulled and validated once, and its
+ *    rows are kept for the final stitch;
+ *  - progress is journal-based: every --poll-ms the dispatcher pulls
+ *    each running shard's checkpoint journal and samples its row
+ *    count.  A shard
  *    whose journal stops advancing for --stale-sec (straggler, dead
  *    host, wedged ssh) is killed and requeued; requeued shards take
  *    the *next free slot on any live host*, which is what rebalances
  *    work away from dead hosts.  Crashes requeue the same way, up to
  *    --retries relaunches per shard;
- *  - after every poll a status snapshot (farm/progress.hh JSON
- *    lines) is written atomically to the status file, so `srs_sim
- *    monitor` and external tooling can watch the fleet live;
- *  - when every shard's CSV validates, the existing mergeShards()
- *    stitches the merged CSV — byte-identical to a single-process
- *    sweep, whatever hosts, transports, kills, or restarts the run
- *    saw.  Transport is never part of cell identity.
+ *  - after every sample and every shard exit a status snapshot
+ *    (farm/progress.hh JSON lines) is written atomically to the
+ *    status file, so `srs_sim monitor` and external tooling can
+ *    watch the fleet live;
+ *  - when every shard's CSV has validated, stitchRows() writes the
+ *    merged CSV — byte-identical to a single-process sweep, whatever
+ *    hosts, transports, kills, or restarts the run saw.  Transport
+ *    is never part of cell identity.
  *
- * POSIX-only (like the orchestrator); run() is fatal() elsewhere.
+ * POSIX-only; run() is fatal() elsewhere.
  */
 
 #ifndef SRS_FARM_DISPATCHER_HH
@@ -58,7 +65,10 @@ struct FarmConfig
     std::size_t shardThreads = 1;
     /** Relaunches per shard after a crash, kill, or stall. */
     std::size_t retries = 2;
-    /** Poll interval for journals/children, in milliseconds. */
+    /**
+     * Journal-sampling and status-file cadence, in milliseconds.
+     * Child exits are handled as they happen, not on this clock.
+     */
     std::uint64_t pollMs = 200;
     /**
      * Straggler timeout: a running shard whose journal has not

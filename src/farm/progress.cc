@@ -80,12 +80,12 @@ scanShardJournal(const std::string &path, std::size_t cells,
                 return scan;
             }
             scan.headerSeen = true;
-            if (header.schema != SweepRunner::kJournalSchema) {
+            if (header.schema != kSchemaVersion) {
                 scan.error =
                     "journal header names schema "
                     + std::to_string(header.schema)
                     + "; this build reads schema "
-                    + std::to_string(SweepRunner::kJournalSchema)
+                    + std::to_string(kSchemaVersion)
                     + " only";
                 return scan;
             }

@@ -1,25 +1,15 @@
 #include "sim/orchestrator.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#endif
-
 #include "common/logging.hh"
 #include "common/options.hh"
-#include "common/subprocess.hh"
-#include "common/thread_pool.hh"
 #include "sim/system.hh"
 
 namespace srs
@@ -28,23 +18,17 @@ namespace srs
 namespace
 {
 
-constexpr std::uint64_t kManifestVersion = 6;
-
 std::string
 shardKey(std::size_t index, const char *field)
 {
     return "shard" + std::to_string(index) + "." + field;
 }
 
-/**
- * Read one shard CSV, validate it against @p shard / @p exp, and
- * append its data rows (shard-local numbering, no newlines) to
- * @p rows when given.  Returns an empty string on success, else the
- * reason the shard must be rejected.
- */
+} // namespace
+
 std::string
-loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
-              const std::string &path, std::vector<std::string> *rows)
+validateShardCsv(const ShardSpec &shard, const ExperimentConfig &exp,
+                 const std::string &path, std::vector<std::string> *rows)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -66,53 +50,17 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
         lines.push_back(text.substr(start, nl - start));
         start = nl + 1;
     }
-    if (lines.empty() || lines.front() != SweepRunner::csvHeader()) {
-        if (!lines.empty()
-            && lines.front().rfind("index,workload,", 0) == 0) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v1 header (no workload_spec/axes "
-                   "columns); this build merges schema v6 only — "
-                   "re-run the shard (docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().find(",policy,") != std::string::npos
-            && lines.front().rfind("index,workload_spec,", 0) == 0) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v2 header (`policy` identity column, no "
-                   "DRAM preset/timing axes); this build merges "
-                   "schema v6 only — re-run the shard "
-                   "(docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",p50_lat") == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v3 header (no p50_lat/p99_lat/p999_lat "
-                   "tail-latency columns); this build merges schema "
-                   "v6 only — re-run the shard (docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",lat_samples")
-                   == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v4 header (no lat_samples column; it "
-                   "predates the DRAM-organization axis); this build "
-                   "merges schema v6 only — re-run the shard "
-                   "(docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",iterations")
-                   == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v5 header (no iterations/censored/"
-                   "p_break/ci_lo/ci_hi Monte-Carlo confidence "
-                   "columns); this build merges schema v6 only — "
-                   "re-run the shard (docs/sweep-format.md)";
+    if (lines.front() != SweepRunner::csvHeader()) {
+        const std::string stale = staleSchemaLine(lines.front());
+        if (!stale.empty()) {
+            return "shard CSV '" + path + "' carries the " + stale
+                   + "; this build merges schema v"
+                   + std::to_string(kSchemaVersion)
+                   + " only — re-run the shard (docs/sweep-format.md)";
         }
         return "shard CSV '" + path + "' does not start with this "
-               "build's schema v6 sweep CSV header";
+               "build's schema v" + std::to_string(kSchemaVersion)
+               + " sweep CSV header";
     }
     if (lines.size() - 1 != shard.cells) {
         return "shard CSV '" + path + "' has "
@@ -153,12 +101,6 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
     return "";
 }
 
-/**
- * Stitch pre-validated shard rows (loadShardRows output, one vector
- * per shard) into one global CSV on @p out, rewriting each
- * shard-local index to the global cell index; every byte after the
- * first comma passes through untouched.
- */
 void
 stitchRows(const ShardManifest &manifest,
            const std::vector<std::vector<std::string>> &rowsPerShard,
@@ -182,8 +124,6 @@ stitchRows(const ShardManifest &manifest,
     if (!out.flush())
         fatal("merge: error writing merged CSV");
 }
-
-} // namespace
 
 std::size_t
 ShardManifest::totalCells() const
@@ -258,7 +198,7 @@ serializeManifest(const ShardManifest &manifest)
     const SweepGrid &grid = manifest.grid;
     std::ostringstream out;
     out << "# srs_sim shard manifest (docs/sweep-format.md)\n"
-        << "version=" << kManifestVersion << '\n'
+        << "version=" << kSchemaVersion << '\n'
         << "workloads=" << joinSpecList(grid.workloads) << '\n';
     std::vector<std::string> mitigations;
     for (const MitigationKind kind : grid.mitigations)
@@ -307,48 +247,15 @@ loadManifest(const std::string &path)
 {
     const Options opts = Options::fromFile(path);
     const std::uint64_t version = opts.getUint("version", 0);
-    if (version == 1) {
-        fatal("manifest '", path, "': schema version 1 (pre-"
-              "WorkloadSpec, no policies/trc axes); this build reads "
-              "manifest version ", kManifestVersion, " only — "
-              "re-plan the orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 2) {
-        fatal("manifest '", path, "': schema version 2 (no DRAM "
-              "preset or tRCD/tRP/tREFI/tRFC axes); this build reads "
-              "manifest version ", kManifestVersion, " only — "
-              "re-plan the orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 3) {
-        fatal("manifest '", path, "': schema version 3 (its shards "
-              "emit schema-v3 CSVs without the p50_lat/p99_lat/"
-              "p999_lat tail-latency columns, and predate generator "
-              "workload spellings); this build reads manifest "
-              "version ", kManifestVersion, " only — re-plan the "
-              "orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 4) {
-        fatal("manifest '", path, "': schema version 4 (no orgs "
-              "axis; its shards emit schema-v4 CSVs without the "
-              "lat_samples column); this build reads manifest "
-              "version ", kManifestVersion, " only — re-plan the "
-              "orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 5) {
-        fatal("manifest '", path, "': schema version 5 (its shards "
-              "emit schema-v5 CSVs without the iterations/censored/"
-              "p_break/ci_lo/ci_hi Monte-Carlo confidence columns); "
-              "this build reads manifest version ", kManifestVersion,
+    if (version != kSchemaVersion) {
+        const std::string stale = staleSchemaVersion(version);
+        fatal("manifest '", path, "': ",
+              stale.empty() ? "unsupported version "
+                                  + std::to_string(version)
+                            : stale,
+              "; this build reads manifest version ", kSchemaVersion,
               " only — re-plan the orchestration with 'srs_sim "
               "orchestrate' (docs/sweep-format.md)");
-    }
-    if (version != kManifestVersion) {
-        fatal("manifest '", path, "': unsupported version ", version,
-              " (this build reads version ", kManifestVersion, ")");
     }
 
     ShardManifest manifest;
@@ -473,13 +380,6 @@ loadManifest(const std::string &path)
     return manifest;
 }
 
-std::string
-validateShardCsv(const ShardSpec &shard, const ExperimentConfig &exp,
-                 const std::string &path)
-{
-    return loadShardRows(shard, exp, path, nullptr);
-}
-
 void
 mergeShards(const ShardManifest &manifest, const std::string &dir,
             std::ostream &out)
@@ -490,45 +390,12 @@ mergeShards(const ShardManifest &manifest, const std::string &dir,
         const ShardSpec &shard = manifest.shards[k];
         const std::string path =
             dir.empty() ? shard.csv : dir + "/" + shard.csv;
-        const std::string err = loadShardRows(
+        const std::string err = validateShardCsv(
             shard, manifest.exp, path, &rowsPerShard[k]);
         if (!err.empty())
             fatal("merge: shard ", k, ": ", err);
     }
     stitchRows(manifest, rowsPerShard, out);
-}
-
-Orchestrator::Orchestrator(ShardManifest manifest, Config config)
-    : manifest_(std::move(manifest)), config_(std::move(config))
-{
-    if (config_.simPath.empty())
-        fatal("orchestrator: no srs_sim binary path configured");
-    if (config_.dir.empty())
-        fatal("orchestrator: no shard directory configured");
-}
-
-std::vector<std::string>
-Orchestrator::shardCommand(std::size_t index) const
-{
-    // A previous attempt's checkpoint (or torn CSV) seeds a resume,
-    // so a killed shard never recomputes its finished cells.
-    const std::string csv =
-        config_.dir + "/" + manifest_.shards[index].csv;
-    const std::string journal = csv + ".journal";
-    std::string resume;
-    if (std::filesystem::exists(journal))
-        resume = journal;
-    else if (std::filesystem::exists(csv))
-        resume = csv;
-    return shardCommandLine(manifest_, index, config_.simPath,
-                            config_.dir, config_.shardThreads,
-                            resume);
-}
-
-void
-Orchestrator::prepareDir()
-{
-    prepareShardDir(manifest_, config_.dir);
 }
 
 std::vector<std::string>
@@ -685,24 +552,38 @@ writeShardSummary(std::ostream &out, const ShardManifest &manifest,
 }
 
 void
-Orchestrator::writePlan(std::ostream &out, bool json)
+writeShardPlan(std::ostream &out, const ShardManifest &manifest,
+               const std::string &dir, const std::string &simPath,
+               std::size_t shardThreads, bool json)
 {
-    prepareDir();
-    const std::string manifestPath = config_.dir + "/manifest";
+    prepareShardDir(manifest, dir);
+    const std::string manifestPath = dir + "/manifest";
+    // A previous attempt's checkpoint (or torn CSV) seeds a resume,
+    // so a re-dispatched shard never recomputes its finished cells.
+    const auto command = [&](std::size_t k) {
+        const std::string csv = dir + "/" + manifest.shards[k].csv;
+        std::string resume;
+        if (std::filesystem::exists(csv + ".journal"))
+            resume = csv + ".journal";
+        else if (std::filesystem::exists(csv))
+            resume = csv;
+        return shardCommandLine(manifest, k, simPath, dir,
+                                shardThreads, resume);
+    };
     if (!json) {
         out << "# manifest: " << manifestPath << '\n'
             << "# run each shard (any machine, same binary), collect "
                "the CSVs next to the manifest,\n"
-            << "# then: " << config_.simPath << " merge --manifest="
+            << "# then: " << simPath << " merge --manifest="
             << manifestPath << '\n';
-        for (std::size_t k = 0; k < manifest_.shards.size(); ++k) {
-            const std::vector<std::string> cmd = shardCommand(k);
+        for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
+            const std::vector<std::string> cmd = command(k);
             for (std::size_t a = 0; a < cmd.size(); ++a)
                 out << (a > 0 ? " " : "") << cmd[a];
             out << '\n';
         }
         if (!out.flush())
-            fatal("orchestrator: error writing the shard plan");
+            fatal("orchestrate: error writing the shard plan");
         return;
     }
 
@@ -717,174 +598,26 @@ Orchestrator::writePlan(std::ostream &out, bool json)
     };
     out << "{\n"
         << "  \"manifest\": " << jsonQuote(manifestPath) << ",\n"
-        << "  \"version\": " << kManifestVersion << ",\n"
-        << "  \"cells\": " << manifest_.totalCells() << ",\n"
+        << "  \"version\": " << kSchemaVersion << ",\n"
+        << "  \"cells\": " << manifest.totalCells() << ",\n"
         << "  \"merge\": "
-        << argvJson({config_.simPath, "merge",
-                     "--manifest=" + manifestPath})
+        << argvJson({simPath, "merge", "--manifest=" + manifestPath})
         << ",\n"
         << "  \"shards\": [\n";
-    for (std::size_t k = 0; k < manifest_.shards.size(); ++k) {
-        const ShardSpec &shard = manifest_.shards[k];
-        const std::string csv = config_.dir + "/" + shard.csv;
+    for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
+        const ShardSpec &shard = manifest.shards[k];
+        const std::string csv = dir + "/" + shard.csv;
         out << "    {\"index\": " << k << ", \"offset\": "
             << shard.offset << ", \"cells\": " << shard.cells
             << ", \"csv\": " << jsonQuote(csv) << ", \"journal\": "
             << jsonQuote(csv + ".journal") << ", \"log\": "
-            << jsonQuote(config_.dir + "/shard" + std::to_string(k)
-                         + ".log")
-            << ", \"argv\": " << argvJson(shardCommand(k)) << '}'
-            << (k + 1 < manifest_.shards.size() ? "," : "") << '\n';
+            << jsonQuote(dir + "/shard" + std::to_string(k) + ".log")
+            << ", \"argv\": " << argvJson(command(k)) << '}'
+            << (k + 1 < manifest.shards.size() ? "," : "") << '\n';
     }
     out << "  ]\n}\n";
     if (!out.flush())
-        fatal("orchestrator: error writing the shard plan");
+        fatal("orchestrate: error writing the shard plan");
 }
-
-#if !defined(_WIN32)
-
-long
-Orchestrator::launchShard(std::size_t index)
-{
-    // spawnProcess sets PDEATHSIG on Linux: a SIGKILLed supervisor
-    // must not leave orphan shards racing a later re-orchestration
-    // for the same CSV and journal files.
-    return spawnProcess(shardCommand(index),
-                        config_.dir + "/shard"
-                            + std::to_string(index) + ".log");
-}
-
-void
-Orchestrator::run(std::ostream &mergedOut)
-{
-    prepareDir();
-
-    const std::size_t jobs = ThreadPool::resolveThreads(config_.jobs);
-    std::deque<std::size_t> pending;
-    for (std::size_t k = 0; k < manifest_.shards.size(); ++k)
-        pending.push_back(k);
-    states_.assign(manifest_.shards.size(), ShardRunState{});
-    std::map<long, std::size_t> running;
-
-    // Each shard CSV is read and validated exactly once, at the
-    // moment it is found complete; the surviving rows feed the
-    // final stitch directly.
-    std::vector<std::vector<std::string>> rowsPerShard(
-        manifest_.shards.size());
-    const auto validateCollect = [&](std::size_t k) {
-        rowsPerShard[k].clear();
-        return loadShardRows(manifest_.shards[k], manifest_.exp,
-                             config_.dir + "/"
-                                 + manifest_.shards[k].csv,
-                             &rowsPerShard[k]);
-    };
-
-    while (!pending.empty() || !running.empty()) {
-        while (!pending.empty() && running.size() < jobs) {
-            const std::size_t k = pending.front();
-            pending.pop_front();
-            const ShardSpec &shard = manifest_.shards[k];
-            if (validateCollect(k).empty()) {
-                std::fprintf(stderr,
-                             "orchestrate: shard %zu already "
-                             "complete (%zu cells)\n",
-                             k, shard.cells);
-                ++skipped_;
-                states_[k].done = true;
-                continue;
-            }
-            const long pid = launchShard(k);
-            ++launches_;
-            ++states_[k].launches;
-            std::fprintf(stderr,
-                         "orchestrate: shard %zu of %zu launched "
-                         "(pid %ld, %zu cells%s)\n",
-                         k, manifest_.shards.size(), pid,
-                         shard.cells,
-                         states_[k].restarts > 0 ? ", resumed" : "");
-            running.emplace(pid, k);
-        }
-        if (running.empty())
-            break; // every remaining shard was already complete
-
-        int status = 0;
-        const pid_t pid = ::waitpid(-1, &status, 0);
-        if (pid < 0)
-            fatal("orchestrator: waitpid failed: ",
-                  std::strerror(errno));
-        const auto it = running.find(pid);
-        if (it == running.end())
-            continue; // not one of our shards
-        const std::size_t k = it->second;
-        running.erase(it);
-
-        std::string err;
-        if (processExitedCleanly(status))
-            err = validateCollect(k);
-        else
-            err = describeProcessExit(status);
-        if (err.empty()) {
-            std::fprintf(stderr, "orchestrate: shard %zu done\n", k);
-            states_[k].done = true;
-            continue;
-        }
-        states_[k].lastError = err;
-        if (states_[k].launches > config_.retries) {
-            // Reap the other in-flight shards before bailing out —
-            // orphans would keep writing into the shard directory
-            // and race a re-orchestration.  Their journals survive,
-            // so no completed cell is lost.
-            for (const auto &[otherPid, otherShard] : running) {
-                (void)otherShard;
-                killProcess(otherPid);
-            }
-            for (const auto &[otherPid, otherShard] : running) {
-                (void)otherShard;
-                waitProcess(otherPid);
-            }
-            const std::string log = config_.dir + "/shard"
-                                    + std::to_string(k) + ".log";
-            // Surface the child's own last words (usually its fatal
-            // message) instead of leaving users to grep the log.
-            const std::string tail = lastLogLine(log);
-            writeShardSummary(std::cerr, manifest_, states_,
-                              config_.dir);
-            fatal("orchestrator: shard ", k, " failed after ",
-                  states_[k].launches, " attempt(s): ", err,
-                  tail.empty() ? ""
-                               : "\n  shard's last log line: " + tail,
-                  "\n  (see ", log, ")");
-        }
-        ++states_[k].restarts;
-        std::fprintf(stderr,
-                     "orchestrate: shard %zu failed (%s), "
-                     "relaunching from its journal (attempt "
-                     "%zu/%zu)\n",
-                     k, err.c_str(), states_[k].launches + 1,
-                     config_.retries + 1);
-        pending.push_back(k);
-    }
-
-    writeShardSummary(std::cerr, manifest_, states_, config_.dir);
-    stitchRows(manifest_, rowsPerShard, mergedOut);
-}
-
-#else // _WIN32
-
-long
-Orchestrator::launchShard(std::size_t)
-{
-    fatal("srs_sim orchestrate requires a POSIX platform (fork/"
-          "waitpid); run the shards from the manifest by hand and "
-          "stitch with 'srs_sim merge'");
-}
-
-void
-Orchestrator::run(std::ostream &)
-{
-    launchShard(0);
-}
-
-#endif
 
 } // namespace srs

@@ -25,11 +25,13 @@
  *    prefix) and stitches them into one global CSV, renumbering the
  *    per-shard indices — the output is byte-identical to a
  *    single-process `srs_sim sweep` of the full grid.
- *  - Orchestrator forks `srs_sim sweep` children (POSIX), at most
- *    `jobs` at a time, restarts crashed or killed shards from their
- *    checkpoint journals (the engine's --resume machinery), and
- *    merges on completion.  Re-running a killed orchestration
- *    resumes every partial shard instead of starting over.
+ *  - shardCommandLine() and writeShardPlan() spell each shard as one
+ *    `srs_sim sweep` command, for `orchestrate --plan` and for the
+ *    one supervisor, FarmDispatcher (farm/dispatcher.hh).  This layer
+ *    forks nothing: `srs_sim orchestrate` is a farm run on one
+ *    implicit `local` host with --jobs slots, which launches,
+ *    relaunches crashed shards from their checkpoint journals, and
+ *    stitches the rows it validated with stitchRows().
  */
 
 #ifndef SRS_SIM_ORCHESTRATOR_HH
@@ -76,8 +78,8 @@ struct ShardSpec
  * page-policy/DRAM-preset/DRAM-organization/timing-override system
  * axes on the inner; its shards emit schema-v6 CSVs carrying the
  * Monte-Carlo confidence columns) — see docs/sweep-format.md for
- * the schema.  Version-1 through version-5 manifests are rejected
- * with a versioned error, never misread.
+ * the schema.  A manifest of a retired version (staleSchemaVersion())
+ * is rejected with a versioned error, never misread.
  */
 struct ShardManifest
 {
@@ -92,11 +94,7 @@ struct ShardManifest
     std::size_t totalCells() const;
 };
 
-/**
- * Per-shard supervision accounting, shared by the local orchestrator
- * and the fleet dispatcher (farm/dispatcher.hh) so both report the
- * same end-of-run summary.
- */
+/** Per-shard supervision accounting for the end-of-run summary. */
 struct ShardRunState
 {
     /** Child launches performed (first run plus retries). */
@@ -145,22 +143,35 @@ void writeManifest(const ShardManifest &manifest,
 ShardManifest loadManifest(const std::string &path);
 
 /**
- * Validate one shard's CSV against the manifest expectations.
+ * Validate one shard's CSV against the manifest expectations, and
+ * append its data rows (shard-local numbering, no newlines) to
+ * @p rows when given.
  *
  * Checks, in order: the file exists and ends with a newline (a
  * torn final line means the writer died mid-row), the first line is
- * the schema-v6 sweep CSV header (a v1 through v5 header is
- * rejected with a versioned message), exactly @p shard.cells data
- * rows follow, and
- * every row has SweepRunner::kRowColumns fields and byte-matches
- * the identity prefix of its cell *within the shard's own
- * numbering* (index local to the shard, seed derived from @p exp).
+ * the current sweep CSV header (a retired schema's header is
+ * rejected by version, staleSchemaLine()), exactly @p shard.cells
+ * data rows follow, and every row has SweepRunner::kRowColumns
+ * fields and byte-matches the identity prefix of its cell *within
+ * the shard's own numbering* (index local to the shard, seed derived
+ * from @p exp).
  *
  * @return empty string when valid, else a human-readable reason.
  */
 std::string validateShardCsv(const ShardSpec &shard,
                              const ExperimentConfig &exp,
-                             const std::string &path);
+                             const std::string &path,
+                             std::vector<std::string> *rows = nullptr);
+
+/**
+ * Stitch validated shard rows (validateShardCsv() output, one vector
+ * per shard) into one global CSV on @p out, rewriting each
+ * shard-local index to the global cell index; every byte after the
+ * first comma passes through untouched.
+ */
+void stitchRows(const ShardManifest &manifest,
+                const std::vector<std::vector<std::string>> &rowsPerShard,
+                std::ostream &out);
 
 /**
  * Stitch the manifest's shard CSVs into one global CSV on @p out.
@@ -186,8 +197,8 @@ void mergeShards(const ShardManifest &manifest, const std::string &dir,
  * seen by the *executing* process (the local dir, or a remote
  * host's workdir).  @p resume, when non-empty, is passed through as
  * `--resume=…`; callers decide whether a checkpoint exists on the
- * executing side.  The single source of truth for Orchestrator,
- * `orchestrate --plan` (text and JSON), and the farm dispatcher —
+ * executing side.  The single source of truth for
+ * `orchestrate --plan` (text and JSON) and the farm dispatcher —
  * transport never appears in the command, so a shard computes the
  * same bytes wherever it runs.
  */
@@ -196,6 +207,18 @@ shardCommandLine(const ShardManifest &manifest, std::size_t index,
                  const std::string &simPath, const std::string &dir,
                  std::size_t shardThreads,
                  const std::string &resume = "");
+
+/**
+ * Plan-only output of `srs_sim orchestrate --plan`: create @p dir,
+ * write the manifest, and print each shard's shardCommandLine() to
+ * @p out (resuming from any checkpoint already in @p dir) — launch
+ * nothing.  With @p json, the same plan is one machine-readable JSON
+ * object (manifest path, merge argv, per-shard offset/cells/file
+ * paths/argv — docs/sweep-format.md has the schema).
+ */
+void writeShardPlan(std::ostream &out, const ShardManifest &manifest,
+                    const std::string &dir, const std::string &simPath,
+                    std::size_t shardThreads, bool json);
 
 /**
  * Create @p dir and write its manifest, or verify byte-equality
@@ -225,81 +248,6 @@ void writeShardSummary(std::ostream &out,
                        const ShardManifest &manifest,
                        const std::vector<ShardRunState> &states,
                        const std::string &dir);
-
-/**
- * Launches and supervises the shard child processes of one
- * orchestrated sweep, then merges their CSVs.  POSIX-only (fork and
- * waitpid); construction is fatal() elsewhere.
- */
-class Orchestrator
-{
-  public:
-    /** Process-level knobs (the grid lives in the manifest). */
-    struct Config
-    {
-        /** Path of the srs_sim binary to exec for each shard. */
-        std::string simPath;
-        /** Directory for shard CSVs, journals, and logs. */
-        std::string dir;
-        /** Max concurrent shard processes; 0 = hardware threads. */
-        std::size_t jobs = 0;
-        /** --threads passed to each shard process. */
-        std::size_t shardThreads = 1;
-        /** Relaunch attempts per shard after a crash or kill. */
-        std::size_t retries = 2;
-    };
-
-    Orchestrator(ShardManifest manifest, Config config);
-
-    /**
-     * Run the orchestration to completion: write the manifest into
-     * the shard directory, launch every incomplete shard (resuming
-     * from its journal when one exists) with at most `jobs` children
-     * in flight, relaunch failed shards up to `retries` times, and
-     * finally merge all shard CSVs onto @p mergedOut.  A shard that
-     * still fails after its retries, or a shard directory holding a
-     * *different* orchestration's manifest, is fatal().
-     */
-    void run(std::ostream &mergedOut);
-
-    /**
-     * Plan-only mode: create the shard directory, write the
-     * manifest, and print each shard's `srs_sim sweep` command line
-     * to @p out — launch nothing.  The commands are exactly what
-     * run() would exec, ready to be dispatched to other machines
-     * and stitched back with `srs_sim merge`.  With @p json, the
-     * same plan is emitted as one machine-readable JSON object
-     * (manifest path, merge argv, per-shard offset/cells/file
-     * paths/argv — docs/sweep-format.md has the schema) so external
-     * schedulers and the farm dispatcher consume the same source of
-     * truth as the human listing.
-     */
-    void writePlan(std::ostream &out, bool json = false);
-
-    /** Shards whose CSVs already validated and were not relaunched. */
-    std::size_t skippedShards() const { return skipped_; }
-    /** Child launches performed (first runs plus retries). */
-    std::size_t launches() const { return launches_; }
-    /** Per-shard accounting of the last run() (summary table data). */
-    const std::vector<ShardRunState> &shardStates() const
-    {
-        return states_;
-    }
-
-  private:
-    /** Create the shard dir and write/verify its manifest. */
-    void prepareDir();
-    /** Fork one child for shard @p index; returns its pid. */
-    long launchShard(std::size_t index);
-    /** Command line for shard @p index (argv, argv[0] = simPath). */
-    std::vector<std::string> shardCommand(std::size_t index) const;
-
-    ShardManifest manifest_;
-    Config config_;
-    std::size_t skipped_ = 0;
-    std::size_t launches_ = 0;
-    std::vector<ShardRunState> states_;
-};
 
 } // namespace srs
 

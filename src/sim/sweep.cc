@@ -166,7 +166,95 @@ hex64(std::uint64_t v)
 /** The tag every journal header comment starts with. */
 constexpr const char *kJournalHeaderTag = "# srs_sim sweep journal ";
 
+/** One retired schema: how its files are recognised, what it lacks. */
+struct StaleSchema
+{
+    /** Its CSV schema and manifest version. */
+    std::uint64_t version;
+    /**
+     * Its exact CSV header.  Its rows are recognised by the header's
+     * column count and a 0x-seed in the header's `seed` column.
+     */
+    const char *header;
+    /** What it lacks next to the schema after it. */
+    const char *lacks;
+};
+
+constexpr StaleSchema kStaleSchemas[] = {
+    {1,
+     "index,workload,mitigation,tracker,trh,rate,seed,ipc,"
+     "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
+     "rows_pinned,max_row_acts",
+     "no workload_spec/axes identity columns, no page-policy or tRC "
+     "axes"},
+    {2,
+     "index,workload_spec,mitigation,tracker,trh,rate,policy,seed,ipc,"
+     "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
+     "rows_pinned,max_row_acts",
+     "`policy` identity column, no DRAM preset/timing axes"},
+    {3,
+     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,"
+     "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
+     "rows_pinned,max_row_acts",
+     "no p50_lat/p99_lat/p999_lat tail-latency columns"},
+    {4,
+     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,"
+     "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
+     "rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat",
+     "no lat_samples column; it predates the DRAM-organization axis"},
+    {5,
+     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,"
+     "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
+     "rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples",
+     "no iterations/censored/p_break/ci_lo/ci_hi Monte-Carlo "
+     "confidence columns"},
+};
+
 } // namespace
+
+std::string
+staleSchemaLine(const std::string &line)
+{
+    const std::vector<std::string> fields = splitFields(line);
+    std::string versions;
+    const StaleSchema *newest = nullptr;
+    std::size_t seedColumn = 0;
+    for (const StaleSchema &stale : kStaleSchemas) {
+        if (line == stale.header) {
+            return "sweep CSV schema v" + std::to_string(stale.version)
+                   + " header (" + stale.lacks + ")";
+        }
+        const std::vector<std::string> columns =
+            splitFields(stale.header);
+        const auto seed =
+            std::find(columns.begin(), columns.end(), "seed");
+        const auto at = static_cast<std::size_t>(seed - columns.begin());
+        if (fields.size() != columns.size()
+            || fields[at].rfind("0x", 0) != 0)
+            continue;
+        versions += (newest ? " or v" : "v")
+                    + std::to_string(stale.version);
+        newest = &stale;
+        seedColumn = at + 1;
+    }
+    if (newest == nullptr)
+        return "";
+    return "sweep CSV schema " + versions + " row ("
+           + std::to_string(fields.size()) + " columns, seed in column "
+           + std::to_string(seedColumn) + "; " + newest->lacks + ")";
+}
+
+std::string
+staleSchemaVersion(std::uint64_t version)
+{
+    for (const StaleSchema &stale : kStaleSchemas) {
+        if (stale.version == version) {
+            return "schema version " + std::to_string(version) + " ("
+                   + stale.lacks + ")";
+        }
+    }
+    return "";
+}
 
 std::uint64_t
 SweepRunner::cellSeed(std::uint64_t base, const std::string &workloadLabel)
@@ -196,7 +284,7 @@ SweepRunner::journalHeader(const std::vector<SweepCell> &cells,
                            std::uint64_t baseSeed)
 {
     return std::string(kJournalHeaderTag) + "schema="
-           + std::to_string(kJournalSchema) + " cells="
+           + std::to_string(kSchemaVersion) + " cells="
            + std::to_string(cells.size()) + " grid="
            + hex64(gridDigest(cells, baseSeed)) + " seed="
            + hex64(baseSeed);
@@ -317,10 +405,10 @@ SweepRunner::loadResume(const std::vector<SweepCell> &cells,
             JournalHeader header;
             if (!parseJournalHeader(line, header))
                 continue;
-            if (header.schema != kJournalSchema) {
+            if (header.schema != kSchemaVersion) {
                 fatal("resume file '", resumePath_, "': journal "
                       "header names schema ", header.schema,
-                      "; this build reads schema ", kJournalSchema,
+                      "; this build reads schema ", kSchemaVersion,
                       " only — re-run the sweep "
                       "(docs/sweep-format.md)");
             }
@@ -338,93 +426,28 @@ SweepRunner::loadResume(const std::vector<SweepCell> &cells,
             }
             continue;
         }
-        if (line.rfind("index,workload_spec", 0) == 0) {
-            // A byte-exact v6 header matched above.  A v2 header is
-            // recognized by its `policy` identity column, a v3
-            // header by the missing latency-percentile columns, a v4
-            // header by the missing sample-count column, a v5 header
-            // by the missing Monte-Carlo confidence columns;
-            // anything else here is a header-like line this build
-            // cannot trust (foreign schema, stray \r, edited file).
-            if (line.find(",policy,") != std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v2 header (`policy` identity "
-                      "column, no DRAM preset/timing axes); this "
-                      "build reads schema v6 only — re-run the sweep "
-                      "(docs/sweep-format.md)");
-            }
-            if (line.find(",p50_lat") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v3 header (no "
-                      "p50_lat/p99_lat/p999_lat tail-latency "
-                      "columns); this build reads schema v6 only — "
-                      "re-run the sweep (docs/sweep-format.md)");
-            }
-            if (line.find(",lat_samples") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v4 header (no lat_samples "
-                      "column; it predates the DRAM-organization "
-                      "axis); this build reads schema v6 only — "
-                      "re-run the sweep (docs/sweep-format.md)");
-            }
-            if (line.find(",iterations") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v5 header (no "
-                      "iterations/censored/p_break/ci_lo/ci_hi "
-                      "Monte-Carlo confidence columns); this build "
-                      "reads schema v6 only — re-run the sweep "
-                      "(docs/sweep-format.md)");
-            }
-            fatal("resume file '", resumePath_, "' has a header line "
-                  "that does not byte-match this build's schema v6 "
-                  "header (foreign schema version, or the file was "
-                  "edited — check for trailing whitespace or \\r "
-                  "line endings):\n  got:      ", line,
-                  "\n  expected: ", csvHeader());
-        }
-        if (line.rfind("index,workload", 0) == 0) {
-            fatal("resume file '", resumePath_, "' carries the sweep "
-                  "CSV schema v1 header (no workload_spec/axes "
-                  "columns); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
-        }
+        // A byte-exact current header matched above.  A retired
+        // schema's header or row fails by name, never as a silent
+        // recompute or a cryptic prefix mismatch; any other
+        // header-like line is one this build cannot trust (stray \r,
+        // edited file).
         const std::vector<std::string> fields = splitFields(line);
-        // A complete v1 row has 15 fields with the 0x-seed in column
-        // 7 (v2/v3 keep it in column 8 of a 16-field row, v4 in
-        // column 8 of a 19-field row, v5 in column 8 of a 20-field
-        // row); recognize all of them so stale checkpoints fail with
-        // a versioned message, not a silent recompute or a cryptic
-        // prefix mismatch.
-        if (fields.size() == 15
-            && fields.size() > 6 && fields[6].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v1 row (15 columns, seed "
-                  "in column 7); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
+        if (fields.size() != kRowColumns) {
+            const std::string stale = staleSchemaLine(line);
+            if (!stale.empty()) {
+                fatal("resume file '", resumePath_, "' carries the ",
+                      stale, "; this build reads schema v",
+                      kSchemaVersion, " only — re-run the sweep "
+                      "(docs/sweep-format.md)");
+            }
         }
-        if (fields.size() == 16
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v2 or v3 row (16 columns, "
-                  "no p50_lat/p99_lat/p999_lat tail-latency "
-                  "columns); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
-        }
-        if (fields.size() == 19
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v4 row (19 columns, no "
-                  "lat_samples column); this build reads schema v6 "
-                  "only — re-run the sweep (docs/sweep-format.md)");
-        }
-        if (fields.size() == 20
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v5 row (20 columns, no "
-                  "iterations/censored/p_break/ci_lo/ci_hi "
-                  "Monte-Carlo confidence columns); this build reads "
-                  "schema v6 only — re-run the sweep "
-                  "(docs/sweep-format.md)");
+        if (line.rfind("index,", 0) == 0) {
+            fatal("resume file '", resumePath_, "' has a header line "
+                  "that does not byte-match this build's schema v",
+                  kSchemaVersion, " header (foreign schema version, "
+                  "or the file was edited — check for trailing "
+                  "whitespace or \\r line endings):\n  got:      ",
+                  line, "\n  expected: ", csvHeader());
         }
         if (fields.size() != kRowColumns || fields.back().empty())
             continue;

@@ -143,6 +143,31 @@ struct SweepGrid
     std::vector<SweepCell> expand() const;
 };
 
+/**
+ * Schema version of everything a sweep writes: the CSV header and
+ * rows, the journal header comment, and the shard manifest.  A bump
+ * changes this constant and adds the retired version as one row of
+ * the stale-schema table behind staleSchemaLine().
+ */
+inline constexpr std::uint64_t kSchemaVersion = 6;
+
+/**
+ * The one stale-schema lookup, shared by resume, merge, the manifest
+ * loader and the fleet.  @p line is a CSV header line or data row;
+ * when it is a retired schema's exact header, or a row with a
+ * retired schema's column count and its 0x-seed where that schema
+ * kept it, @return a phrase naming the version(s) and what they lack
+ * ("sweep CSV schema v4 header (no lat_samples column; ...)").
+ * @return "" when @p line matches no retired schema.
+ */
+std::string staleSchemaLine(const std::string &line);
+
+/**
+ * The same table keyed by a manifest or journal-header version:
+ * "schema version 4 (...)" for a retired version, else "".
+ */
+std::string staleSchemaVersion(std::uint64_t version);
+
 /** Result of one sweep cell, in input order. */
 struct SweepResult
 {
@@ -189,15 +214,10 @@ class SweepRunner
      * CSV (possibly truncated mid-file) or a journal — and skip
      * re-simulating those cells.  Rows are validated against the
      * grid (workload spec, mitigation, tracker, trh, rate, axes,
-     * seed); a mismatch is fatal(), and a schema-v1, -v2, -v3, -v4
-     * or -v5 file (15-column rows, a header naming the v2 `policy`
-     * column, 16-column rows/headers without the v4
-     * latency-percentile columns, 19-column rows/headers without
-     * the v5 `lat_samples` column, or 20-column rows/headers
-     * without the v6 Monte-Carlo confidence columns) is rejected
-     * with a versioned error.  Incomplete
-     * trailing lines are ignored and recomputed.  An empty path
-     * disables resuming.
+     * seed); a mismatch is fatal(), and a header or row in a
+     * retired schema (staleSchemaLine()) is rejected with a
+     * versioned error.  Incomplete trailing lines are ignored and
+     * recomputed.  An empty path disables resuming.
      */
     void setResume(const std::string &path);
 
@@ -253,9 +273,6 @@ class SweepRunner
 
     /** Total fields of one schema-v6 CSV data row. */
     static constexpr std::size_t kRowColumns = 25;
-
-    /** Journal/CSV schema version this build writes and reads. */
-    static constexpr std::uint64_t kJournalSchema = 6;
 
     /**
      * FNV-1a digest over every cell's identity prefix — a compact

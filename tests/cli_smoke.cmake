@@ -187,6 +187,14 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT orch_diff EQUAL 0)
   message(FATAL_ERROR "orchestrated CSV differs from single-process sweep")
 endif()
+# orchestrate runs the farm dispatcher on one implicit `local` host,
+# so its status file gives `monitor` the host labels.
+execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/orch_shards
+                OUTPUT_VARIABLE orch_monitor RESULT_VARIABLE orch_monitor_rc
+                ERROR_QUIET)
+if(NOT orch_monitor_rc EQUAL 0 OR NOT orch_monitor MATCHES "\"host\":\"local\"")
+  message(FATAL_ERROR "monitor does not label orchestrate's shards:\n${orch_monitor}")
+endif()
 # Re-orchestrating a finished run launches nothing and still merges
 # identically; stitch-only `merge` reads the same manifest.
 run_expect_ok(orchestrate ${orch_grid} --shards=3 --jobs=2 --threads=1

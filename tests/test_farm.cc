@@ -3,13 +3,15 @@
  * Farm subsystem coverage: hostfile parsing and slot expansion, the
  * journal-based progress channel (scans, rate/ETA clock, JSON and
  * table snapshots), transport plumbing over LocalTransport, and the
- * dispatcher's configuration and skip/fail contracts.  Live
- * multi-host dispatch with kills and restarts is exercised
- * end-to-end by tests/cli_smoke.cmake and the CI farm smoke job.
+ * dispatcher's configuration and skip/fail contracts, and the
+ * bounded child wait it supervises with.  Live dispatch with
+ * restarts runs end to end in tests/cli_smoke.cmake,
+ * tests/relaunch_smoke.cmake and the CI farm smoke job.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -167,6 +169,29 @@ TEST(Transport, LocalLaunchReportsChildExitFaithfully)
     const int status = waitProcess(bad);
     EXPECT_FALSE(processExitedCleanly(status));
     EXPECT_NE(describeProcessExit(status).find("status 3"),
+              std::string::npos);
+}
+
+TEST(Subprocess, WaitAnyChildReapsAChildThatExitsBeforeTheDeadline)
+{
+    const long pid = spawnProcess({"/bin/sh", "-c", "exit 5"}, "");
+    int status = 0;
+    EXPECT_EQ(waitAnyChild(status, 30'000), pid);
+    EXPECT_NE(describeProcessExit(status).find("status 5"),
+              std::string::npos)
+        << describeProcessExit(status);
+}
+
+TEST(Subprocess, WaitAnyChildReturnsNoneAtTheDeadline)
+{
+    const long pid = spawnProcess({"/bin/sleep", "30"}, "");
+    const auto start = std::chrono::steady_clock::now();
+    int status = 0;
+    EXPECT_EQ(waitAnyChild(status, 50), -1);
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(50));
+    killProcess(pid);
+    EXPECT_NE(describeProcessExit(waitProcess(pid)).find("signal 9"),
               std::string::npos);
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Exact-IPC and controller-counter locks on five figure-12/figure-14
- * cells and one BlockHammer cell.
+ * cells, one BlockHammer cell, and two cells off the default 2x1x16
+ * DRAM organization (two ranks per channel; four channels).
  *
  * Each cell is 8 cores at swap rate 6 for 1M cycles with a 490k-cycle
  * epoch, built through makeSystemConfig and driven the way
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/workload_spec.hh"
 #include "trace/generators.hh"
 #include "trace/profiles.hh"
 #include "trace/synthetic.hh"
@@ -50,17 +52,19 @@ constexpr const char *kLockedCounters[] = {
 
 /**
  * Run one cell: @p workload is a synthetic profile name or a
- * generator spelling, replayed on every core.
+ * generator spelling, replayed on every core, on the system @p axes
+ * describe.
  */
 LockedCell
 runCell(const std::string &workload, MitigationKind kind,
-        std::uint32_t trh)
+        std::uint32_t trh, const SystemAxes &axes = {})
 {
     ExperimentConfig exp;
     exp.cycles = 1'000'000;
     exp.epochLen = 490'000;
     exp.numCores = 8;
-    const SystemConfig cfg = makeSystemConfig(exp, kind, trh, 6);
+    const SystemConfig cfg = makeSystemConfig(
+        exp, kind, trh, 6, TrackerKind::MisraGries, axes);
     System sys(cfg);
     const AddressMap &map = sys.controller().addressMap();
     for (CoreId c = 0; c < cfg.numCores; ++c) {
@@ -195,6 +199,57 @@ TEST(IpcLock, BlendAttackBlockHammer1200)
         {"p2_skip_pre_wait", 4157093},
         {"p2_skip_act_wait", 8222477},
         {"p2_skip_throttled", 1990781},
+    }));
+}
+
+/** The default axes on DRAM organization @p org ("CxRxB"). */
+SystemAxes
+orgAxes(const std::string &org)
+{
+    SystemAxes axes;
+    dramOrgFromName(org, axes);
+    return axes;
+}
+
+TEST(IpcLock, McfRrs2400Org1x2x8)
+{
+    // Two ranks per channel: pass 2's verdict walk and its skip
+    // take-back cross a rank boundary, which 2x1x16 never does.
+    const LockedCell cell =
+        runCell("mcf", MitigationKind::Rrs, 2400, orgAxes("1x2x8"));
+    EXPECT_EQ(cell.ipc, "0.478259");
+    EXPECT_EQ(cell.ctrl, (Counters{
+        {"row_hits", 55258},
+        {"row_conflicts", 54180},
+        {"idle_closes", 14781},
+        {"writes_issued", 18505},
+        {"p2_skip_busy", 1004816},
+        {"p2_skip_forced", 0},
+        {"p2_skip_hit_wait", 7944009},
+        {"p2_skip_pre_wait", 7559373},
+        {"p2_skip_act_wait", 6793705},
+        {"p2_skip_throttled", 0},
+    }));
+}
+
+TEST(IpcLock, GupsSrs1200Org4x1x16)
+{
+    // Four channels: the controller visits each channel's queues in
+    // index order every bus tick.
+    const LockedCell cell =
+        runCell("gups", MitigationKind::Srs, 1200, orgAxes("4x1x16"));
+    EXPECT_EQ(cell.ipc, "0.471602");
+    EXPECT_EQ(cell.ctrl, (Counters{
+        {"row_hits", 149114},
+        {"row_conflicts", 47342},
+        {"idle_closes", 38125},
+        {"writes_issued", 149712},
+        {"p2_skip_busy", 10946486},
+        {"p2_skip_forced", 0},
+        {"p2_skip_hit_wait", 85267537},
+        {"p2_skip_pre_wait", 8734850},
+        {"p2_skip_act_wait", 7846057},
+        {"p2_skip_throttled", 0},
     }));
 }
 

@@ -5,8 +5,8 @@
  * byte-identically to a single-process sweep, index renumbering,
  * rejection of mismatched or torn shards, and a killed-shard →
  * resume → re-merge roundtrip.  Child-process supervision itself is
- * exercised end-to-end by tests/cli_smoke.cmake and the CI
- * orchestrator smoke job.
+ * FarmDispatcher's (tests/test_farm.cc), and runs end to end in
+ * tests/cli_smoke.cmake and tests/relaunch_smoke.cmake.
  */
 
 #include <gtest/gtest.h>
@@ -601,12 +601,9 @@ TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
 {
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
-    Orchestrator::Config cfg;
-    cfg.dir = "plan_json_dir";
-    cfg.simPath = "/opt/srs_sim";
-    Orchestrator orchestrator(manifest, cfg);
     std::ostringstream os;
-    orchestrator.writePlan(os, /*json=*/true);
+    writeShardPlan(os, manifest, "plan_json_dir", "/opt/srs_sim", 1,
+                   /*json=*/true);
     const std::string plan = os.str();
     EXPECT_NE(plan.find("\"manifest\": \"plan_json_dir/manifest\""),
               std::string::npos)
@@ -617,7 +614,8 @@ TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
               std::string::npos);
     // Text mode still leads with the manifest comment.
     std::ostringstream text;
-    orchestrator.writePlan(text, /*json=*/false);
+    writeShardPlan(text, manifest, "plan_json_dir", "/opt/srs_sim", 1,
+                   /*json=*/false);
     EXPECT_EQ(text.str().rfind("# manifest:", 0), 0u);
 }
 
@@ -657,19 +655,6 @@ TEST(OrchestratorSummary, LastLogLineSkipsBlankTails)
         "tail.log", "first line\nthe real tail\r\n\n   \n");
     EXPECT_EQ(lastLogLine(path), "the real tail");
     EXPECT_EQ(lastLogLine(testing::TempDir() + "no_such.log"), "");
-}
-
-TEST(OrchestratorConfig, MissingBinaryOrDirIsFatal)
-{
-    // Launching real children is cli_smoke's job; here only the
-    // configuration contract is checked.
-    const ShardManifest manifest =
-        planShards(testGrid(), tinyExperiment(), 2);
-    EXPECT_THROW(Orchestrator(manifest, Orchestrator::Config{}),
-                 FatalError);
-    Orchestrator::Config noDir;
-    noDir.simPath = "/bin/false";
-    EXPECT_THROW(Orchestrator(manifest, noDir), FatalError);
 }
 
 } // namespace

@@ -357,7 +357,7 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
 
     SweepRunner::JournalHeader parsed;
     ASSERT_TRUE(SweepRunner::parseJournalHeader(header, parsed));
-    EXPECT_EQ(parsed.schema, SweepRunner::kJournalSchema);
+    EXPECT_EQ(parsed.schema, kSchemaVersion);
     EXPECT_EQ(parsed.cells, cells.size());
     EXPECT_EQ(parsed.digest,
               SweepRunner::gridDigest(cells, exp.seed));

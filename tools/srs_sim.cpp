@@ -93,8 +93,10 @@
  *            supervised `srs_sim sweep` child process (restarting
  *            killed shards from their journals), and stitch the
  *            shard CSVs into one merged CSV that is byte-identical
- *            to a single-process sweep of the same grid.  Takes the
- *            sweep grid flags plus [--shards=S] [--jobs=J]
+ *            to a single-process sweep of the same grid.  The shards
+ *            run through the farm dispatcher on one implicit `local`
+ *            host with --jobs slots (status in <dir>/farm.status).
+ *            Takes the sweep grid flags plus [--shards=S] [--jobs=J]
  *            [--threads=N per shard] [--retries=R] [--dir=DIR]
  *            [--sim=PATH] [--out=FILE]; --plan writes the manifest
  *            and prints the per-shard commands (for dispatch to
@@ -377,6 +379,29 @@ selfExePath()
     return gArgv0;
 }
 
+/**
+ * Run @p manifest through the farm dispatcher and write the merged
+ * CSV to @p out (stdout when empty); @return the dispatcher for its
+ * launch/restart/skip counts.
+ */
+FarmDispatcher
+runFarm(const ShardManifest &manifest, const FarmConfig &cfg,
+        const std::string &out)
+{
+    FarmDispatcher farm(manifest, cfg);
+    if (out.empty()) {
+        farm.run(std::cout);
+        if (!std::cout.flush())
+            fatal("error writing merged CSV to stdout");
+    } else {
+        std::ofstream file(out, std::ios::trunc | std::ios::binary);
+        if (!file)
+            fatal("cannot open '", out, "' for writing");
+        farm.run(file);
+    }
+    return farm;
+}
+
 int
 cmdOrchestrate(const Options &opts)
 {
@@ -384,15 +409,19 @@ cmdOrchestrate(const Options &opts)
     ExperimentConfig exp;
     parseGridFlags(opts, grid, exp);
 
-    Orchestrator::Config cfg;
-    cfg.jobs = static_cast<std::size_t>(opts.getUint("jobs", 0));
+    // One implicit local host with --jobs slots; no straggler
+    // timeout, since every shard runs on this machine.
+    FarmConfig cfg;
+    const std::size_t jobs = ThreadPool::resolveThreads(
+        static_cast<std::size_t>(opts.getUint("jobs", 0)));
+    cfg.hosts = {{"local", jobs, "", ""}};
     cfg.shardThreads =
         static_cast<std::size_t>(opts.getUint("threads", 1));
     cfg.retries =
         static_cast<std::size_t>(opts.getUint("retries", 2));
     // Default shard count: one shard per concurrent job slot.
-    const std::size_t shards = static_cast<std::size_t>(opts.getUint(
-        "shards", ThreadPool::resolveThreads(cfg.jobs)));
+    const std::size_t shards =
+        static_cast<std::size_t>(opts.getUint("shards", jobs));
     const std::string out = opts.getString("out", "");
     cfg.dir = opts.getString(
         "dir", out.empty() ? "srs_shards" : out + ".shards");
@@ -406,30 +435,21 @@ cmdOrchestrate(const Options &opts)
     opts.rejectUnknown();
 
     const ShardManifest manifest = planShards(grid, exp, shards);
-    Orchestrator orchestrator(manifest, cfg);
     if (planOnly) {
         // Write the manifest and print the shard commands for
         // dispatch to other machines; launch nothing.
-        orchestrator.writePlan(std::cout, planFormat == "json");
+        writeShardPlan(std::cout, manifest, cfg.dir, cfg.simPath,
+                       cfg.shardThreads, planFormat == "json");
         return 0;
     }
-    if (out.empty()) {
-        orchestrator.run(std::cout);
-        if (!std::cout.flush())
-            fatal("error writing merged CSV to stdout");
-    } else {
-        std::ofstream file(out, std::ios::trunc | std::ios::binary);
-        if (!file)
-            fatal("cannot open '", out, "' for writing");
-        orchestrator.run(file);
-    }
+    const FarmDispatcher farm = runFarm(manifest, cfg, out);
     std::fprintf(stderr,
                  "orchestrate: merged %zu cells from %zu shard(s) "
-                 "into %s (%zu launched, %zu already complete)\n",
+                 "into %s (%zu launched, %zu restarted, %zu already "
+                 "complete)\n",
                  manifest.totalCells(), manifest.shards.size(),
-                 out.empty() ? "stdout" : out.c_str(),
-                 orchestrator.launches(),
-                 orchestrator.skippedShards());
+                 out.empty() ? "stdout" : out.c_str(), farm.launches(),
+                 farm.restarts(), farm.skippedShards());
     return 0;
 }
 
@@ -492,17 +512,7 @@ cmdFarm(const Options &opts)
         cfg.dir = ".";
     cfg.hosts = loadHostfile(hostsPath);
 
-    FarmDispatcher farm(manifest, cfg);
-    if (out.empty()) {
-        farm.run(std::cout);
-        if (!std::cout.flush())
-            fatal("error writing merged CSV to stdout");
-    } else {
-        std::ofstream file(out, std::ios::trunc | std::ios::binary);
-        if (!file)
-            fatal("cannot open '", out, "' for writing");
-        farm.run(file);
-    }
+    const FarmDispatcher farm = runFarm(manifest, cfg, out);
     std::fprintf(stderr,
                  "farm: merged %zu cells from %zu shard(s) across "
                  "%zu host(s) into %s (%zu launched, %zu restarted, "
@@ -824,7 +834,8 @@ usage()
         "    --journal=FILE|none (<out>.journal)  --resume=FILE\n"
         "\n"
         "  orchestrate  split a sweep grid into shard processes,\n"
-        "               supervise them, stitch one merged CSV\n"
+        "               supervise them (a farm run on one local\n"
+        "               host), stitch one merged CSV\n"
         "    (all sweep grid flags above, plus:)\n"
         "    --shards=S (jobs)  --jobs=J (hardware threads)\n"
         "    --threads=N per shard (1)  --retries=R (2)\n"
@@ -844,8 +855,9 @@ usage()
         "    --manifest=FILE (required, from orchestrate --plan)\n"
         "    --hosts=FILE (required fleet hostfile)\n"
         "    --threads=N per shard (1)  --retries=R (2)\n"
-        "    --poll-ms=MS (200)  --stale-sec=S (0 = no straggler\n"
-        "    timeout)  --status-file=FILE (<dir>/farm.status)\n"
+        "    --poll-ms=MS (200; journal sampling)  --stale-sec=S\n"
+        "    (0 = no straggler timeout)\n"
+        "    --status-file=FILE (<dir>/farm.status)\n"
         "    --sim=PATH (this binary)  --out=FILE (stdout)\n"
         "\n"
         "  monitor      live fleet progress from the shard journals\n"
