@@ -117,6 +117,12 @@ class Bank
     /** Earliest cycle a PRE may issue (exposed for tests). */
     Cycle preReadyAt() const { return preReady_; }
 
+    /** Earliest cycle a RD to the open row may issue. */
+    Cycle rdReadyAt() const { return rdReady_; }
+
+    /** Earliest cycle a WR to the open row may issue. */
+    Cycle wrReadyAt() const { return wrReady_; }
+
   private:
     const DramTiming &timing_;
     std::uint32_t rowsPerBank_;

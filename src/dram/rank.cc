@@ -36,16 +36,16 @@ Rank::issue(DramCommand cmd, std::uint32_t bankIdx, RowId row, Cycle now,
     return banks_[bankIdx].issue(cmd, row, now, autoPre);
 }
 
-bool
-Rank::canRefresh(Cycle now) const
+Cycle
+Rank::refreshReadyAt() const
 {
-    if (refreshing(now))
-        return false;
+    Cycle at = refreshUntil_;
     for (const Bank &b : banks_) {
-        if (b.rowOpen() || b.blocked(now) || now < b.actReadyAt())
-            return false;
+        if (b.rowOpen())
+            return kNoCycle;
+        at = std::max({at, b.blockedUntil(), b.actReadyAt()});
     }
-    return true;
+    return at;
 }
 
 Cycle

@@ -7,6 +7,7 @@
 #ifndef SRS_DRAM_RANK_HH
 #define SRS_DRAM_RANK_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -52,17 +53,8 @@ class Rank
     {
         if (refreshing(now))
             return false;
-        if (cmd == DramCommand::Activate && actCount_ > 0) {
-            if (now < lastAct_ + timing_.tRRD)
-                return false;
-            // Four-activate window: once four ACTs have issued, the
-            // fourth-last must be at least tFAW in the past.
-            if (actCount_ >= actWindow_.size()) {
-                const Cycle oldest = actWindow_[actWindowHead_];
-                if (now < oldest + timing_.tFAW)
-                    return false;
-            }
-        }
+        if (cmd == DramCommand::Activate && now < actPacedUntil())
+            return false;
         if (cmd == DramCommand::Read || cmd == DramCommand::Write) {
             const Cycle dataStart = now +
                 (cmd == DramCommand::Read ? timing_.tCAS : timing_.tCWL);
@@ -73,6 +65,22 @@ class Rank
     }
 
     /**
+     * Earliest cycle tRRD and tFAW admit another ACT in this rank:
+     * tRRD after the last ACT and, once four ACTs have issued, tFAW
+     * after the fourth-last.  0 before the first ACT.
+     */
+    Cycle
+    actPacedUntil() const
+    {
+        if (actCount_ == 0)
+            return 0;
+        Cycle at = lastAct_ + timing_.tRRD;
+        if (actCount_ >= actWindow_.size())
+            at = std::max(at, actWindow_[actWindowHead_] + timing_.tFAW);
+        return at;
+    }
+
+    /**
      * Issue through the rank (applies pacing, then delegates to the
      * bank).  @return completion cycle as defined by Bank::issue().
      */
@@ -80,13 +88,24 @@ class Rank
                 Cycle now, bool autoPre = true);
 
     /** @return true when an all-bank refresh may start at @p now. */
-    bool canRefresh(Cycle now) const;
+    bool canRefresh(Cycle now) const { return now >= refreshReadyAt(); }
+
+    /**
+     * Earliest cycle an all-bank refresh may start: once the rank's
+     * last refresh is over and every bank is closed, out of its
+     * migration and past its ACT window.  kNoCycle while a bank is
+     * open (only a command can close it).
+     */
+    Cycle refreshReadyAt() const;
 
     /** Start an all-bank refresh. @return completion cycle. */
     Cycle refresh(Cycle now);
 
     /** @return true while a refresh occupies the rank. */
     bool refreshing(Cycle now) const { return now < refreshUntil_; }
+
+    /** @return cycle when the current refresh finishes. */
+    Cycle refreshUntil() const { return refreshUntil_; }
 
     /** Count of refreshes performed since construction. */
     std::uint64_t refreshCount() const { return refreshCount_; }
@@ -102,6 +121,9 @@ class Rank
         // horizon is conflict-free.
         return start >= busBusyUntil_;
     }
+
+    /** @return first cycle a new transfer may start on the data bus. */
+    Cycle busFreeAt() const { return busBusyUntil_; }
 
     /** Reserve the shared data bus [start, start+len). */
     void reserveBus(Cycle start, Cycle len);

@@ -75,6 +75,14 @@ FarmDispatcher::run(std::ostream &mergedOut)
         bool checkedComplete = false;
     };
     std::vector<Live> live(n);
+    // A re-run keeps the labels of the hosts that computed shards it
+    // now skips as complete.
+    const std::vector<std::string> earlierHosts =
+        readHostsFromStatus(statusPath, n);
+    for (std::size_t k = 0; k < n; ++k) {
+        if (!earlierHosts[k].empty())
+            live[k].host = earlierHosts[k];
+    }
     // Each shard CSV is read and validated once, when the shard is
     // found complete; the kept rows feed the final stitch.
     std::vector<std::vector<std::string>> rows(n);

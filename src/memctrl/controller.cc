@@ -97,6 +97,7 @@ MemoryController::MemoryController(const DramOrg &org,
     h_.p2Skip[static_cast<int>(Verdict::ActWait)] =
         stats_.handle("p2_skip_act_wait");
     h_.p2SkipThrottled = stats_.handle("p2_skip_throttled");
+    h_.replayedTicks = stats_.handle("replayed_ticks");
     for (int k = 0; k < 4; ++k) {
         const auto kind = static_cast<MigrationJob::Kind>(k);
         h_.migScheduled[k] = stats_.handle(
@@ -176,6 +177,7 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
     ++bq.stale; // no translation cached yet
     q.nonEmpty[req.coord.rank] |= bankBit(req.coord.bank);
     ++q.live;
+    ++c.events;
     return req.id;
 }
 
@@ -199,6 +201,7 @@ MemoryController::scheduleMigration(std::uint32_t channel,
         }
     }
     ++c.migCount;
+    ++c.events;
     c.migQ[bank].push_back(std::move(job));
 }
 
@@ -241,27 +244,35 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
         while (now >= due && debt < cfg_.maxPostponedRefreshes) {
             due += timing_.tREFI;
             ++debt;
+            ++c.events;
         }
+        if (debt < cfg_.maxPostponedRefreshes)
+            wakeBy(due);
         if (debt == 0)
             continue;
         Rank &rank = c.ranks[ri];
-        if (rank.canRefresh(now)) {
-            // canRefresh() requires every bank closed, so an all-bank
-            // refresh never disturbs the open-row mirror.
+        const Cycle refreshAt = rank.refreshReadyAt();
+        if (now >= refreshAt) {
+            // refreshReadyAt() requires every bank closed, so an
+            // all-bank refresh never disturbs the open-row mirror.
             rank.refresh(now);
             --debt;
+            ++c.events;
             stats_.inc(h_.refreshes);
             return true;
         }
+        wakeBy(refreshAt);
         if (debt >= cfg_.maxPostponedRefreshes) {
             // Forced refresh: close an open bank to make progress.
             for (std::uint32_t b = 0; b < rank.numBanks(); ++b) {
-                if (rank.bank(b).rowOpen() &&
-                    rank.canIssue(DramCommand::Precharge, b, 0, now)) {
+                if (!rank.bank(b).rowOpen())
+                    continue;
+                if (rank.canIssue(DramCommand::Precharge, b, 0, now)) {
                     issueCmd(c, ri, DramCommand::Precharge, b, 0, now);
                     stats_.inc(h_.forcedPrecharges);
                     return true;
                 }
+                wakeBy(rank.bank(b).preReadyAt());
             }
         }
     }
@@ -299,6 +310,7 @@ MemoryController::startMigration(ChannelState &c, Cycle now)
         MigrationJob job = std::move(c.migQ[flat].front());
         c.migQ[flat].pop_front();
         --c.migCount;
+        ++c.events;
         bank.blockFor(now, job.duration);
         for (const RowCharge &charge : job.charges) {
             bank.chargeActivation(charge.row, charge.count);
@@ -314,10 +326,13 @@ MemoryController::startMigration(ChannelState &c, Cycle now)
 void
 MemoryController::updateDrainState(ChannelState &c)
 {
-    if (!c.draining && c.writeQ.live >= cfg_.writeHiWatermark)
+    if (!c.draining && c.writeQ.live >= cfg_.writeHiWatermark) {
         c.draining = true;
-    else if (c.draining && c.writeQ.live <= cfg_.writeLoWatermark)
+        ++c.events;
+    } else if (c.draining && c.writeQ.live <= cfg_.writeLoWatermark) {
         c.draining = false;
+        ++c.events;
+    }
 }
 
 RowId
@@ -345,8 +360,13 @@ MemoryController::physRowOf(std::uint32_t chIdx, ChannelState &c,
     --bq.stale;
     req.physRow = phys;
     req.mapVersion = c.mapVersion;
-    if (c.openRowArr[flatBank(req.coord.rank, req.coord.bank)] == phys)
+    if (c.openRowArr[flatBank(req.coord.rank, req.coord.bank)] == phys) {
+        // A new hit can change a verdict this tick already took: the
+        // write queue's pass 2 reads the read queue's hit count before
+        // the read queue's pass 1 revalidates.
         ++bq.hits;
+        ++c.events;
+    }
     return phys;
 }
 
@@ -357,6 +377,7 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
 {
     Rank &r = c.ranks[rank];
     const Cycle done = r.issue(cmd, bank, row, now, autoPre);
+    ++c.events;
     const std::uint32_t flat = flatBank(rank, bank);
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
@@ -402,6 +423,7 @@ MemoryController::retireRequest(ChannelState &c, RequestQueue &q,
     if (bq.reqs.empty())
         q.nonEmpty[coord.rank] &= ~bankBit(coord.bank);
     --q.live;
+    ++c.events;
 }
 
 void
@@ -459,6 +481,9 @@ MemoryController::serveRowHit(std::uint32_t chIdx, ChannelState &c,
     for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
         Rank &rank = c.ranks[ri];
         std::uint64_t candidates = c.openMask[ri] & q.nonEmpty[ri];
+        // Refresh and migrations start on closed banks and admit no
+        // ACT until they end, so neither skip below can hold back an
+        // open bank, and neither needs a wake.
         if (candidates == 0 || rank.refreshing(now))
             continue;
         for (; candidates != 0; candidates &= candidates - 1) {
@@ -466,18 +491,24 @@ MemoryController::serveRowHit(std::uint32_t chIdx, ChannelState &c,
             const std::uint32_t flat = flatBank(ri, bi);
             const RowId open = c.openRowArr[flat];
             const BankQueue &bq = q.banks[flat];
+            const Bank &bank = rank.bank(bi);
             // Neither a current hit nor a stale translation that could
             // turn out to be one.
-            if ((bq.hits == 0 && bq.stale == 0) ||
-                rank.bank(bi).blocked(now)) {
+            if ((bq.hits == 0 && bq.stale == 0) || bank.blocked(now))
                 continue;
-            }
             if (bq.stale > 0)
                 toCommit_.push_back(flat);
             // Once the row equals the open row, CAS legality no longer
-            // depends on the request.
-            if (!rank.canIssue(cas, bi, open, now))
+            // depends on the request: only the bank's column window and
+            // the data bus, which must be free tCAS/tCWL after issue.
+            if (!rank.canIssue(cas, bi, open, now)) {
+                const Cycle lead = isWrite ? timing_.tCWL : timing_.tCAS;
+                const Cycle bus = rank.busFreeAt();
+                wakeBy(std::max(isWrite ? bank.wrReadyAt()
+                                        : bank.rdReadyAt(),
+                                bus > lead ? bus - lead : 0));
                 continue;
+            }
             for (std::size_t i = 0;
                  i < bq.reqs.size() && bq.reqs[i].id < winId; ++i) {
                 if (peekPhysRow(chIdx, c, bq.reqs[i]) == open) {
@@ -545,8 +576,13 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
             const BankQueue &bq = q.banks[flat];
             const Bank &bank = rank.bank(bi);
             Verdict v;
+            // Each wait verdict holds until the wake it sets, unless an
+            // event comes first.  The bank's own PRE and ACT windows
+            // already cover refresh and migrations (Bank::issue and
+            // Bank::blockFor push them past both).
             if (refreshing || bank.blocked(now)) {
                 v = Verdict::Busy;
+                wakeBy(std::max(rank.refreshUntil(), bank.blockedUntil()));
             } else if (forced) {
                 v = Verdict::Forced;
             } else if (bank.rowOpen()) {
@@ -558,13 +594,16 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
                     v = Verdict::HitWait;
                 else if (rank.canIssue(DramCommand::Precharge, bi, 0, now))
                     v = Verdict::GoPre;
-                else
+                else {
                     v = Verdict::PreWait;
+                    wakeBy(bank.preReadyAt());
+                }
             } else if (!rank.canIssue(DramCommand::Activate, bi,
                                       bq.reqs.front().coord.row, now)) {
                 // ACT legality does not depend on the (in-range) row:
                 // tRRD/tFAW and the bank's tRC window decide it.
                 v = Verdict::ActWait;
+                wakeBy(std::max(rank.actPacedUntil(), bank.actReadyAt()));
                 if (bq.stale > 0)
                     toCommit_.push_back(flat);
             } else {
@@ -597,7 +636,8 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
         if (verdict_[next->flat] == Verdict::GoAct) {
             MemRequest &req = q.banks[next->flat].reqs[next->next];
             const RowId phys = physRowOf(chIdx, c, req);
-            if (listener_ != nullptr &&
+            askedListener_ = listener_ != nullptr;
+            if (askedListener_ &&
                 listener_->actAllowedAt(chIdx, next->flat, phys, now) >
                     now) {
                 stats_.inc(h_.p2SkipThrottled);
@@ -631,10 +671,8 @@ MemoryController::openOldest(std::uint32_t chIdx, ChannelState &c,
             }
         }
     }
-    for (std::size_t v = 0; v < kWaitVerdicts; ++v) {
-        if (skipped[v] > 0)
-            stats_.inc(h_.p2Skip[v], skipped[v]);
-    }
+    for (std::size_t v = 0; v < kWaitVerdicts; ++v)
+        tickSkips_[v] += skipped[v];
     // (a): the walk revalidated the act-wait requests it passed.
     // Open waiting banks hold no stale request (asserted above).
     for (const std::uint32_t flat : toCommit_) {
@@ -702,14 +740,18 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
         else if (k == ranks)
             open &= ~fromCursor;
         Rank &rank = c.ranks[ri];
+        // As in pass 1, a refreshing rank has no open bank.
         if (open == 0 || rank.refreshing(now))
             continue;
         for (; open != 0; open &= open - 1) {
             const std::uint32_t bi = lowestBank(open);
             const Bank &bank = rank.bank(bi);
             if (bank.blocked(now) ||
-                bankHasPendingHit(c, ri, bi, bank.openRow()) ||
-                !rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
+                bankHasPendingHit(c, ri, bi, bank.openRow())) {
+                continue;
+            }
+            if (!rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
+                wakeBy(bank.preReadyAt());
                 continue;
             }
             issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
@@ -723,9 +765,41 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
 }
 
 void
+MemoryController::chargeSkips(const SkipCounts &skips)
+{
+    for (std::size_t v = 0; v < kWaitVerdicts; ++v) {
+        if (skips[v] > 0)
+            stats_.inc(h_.p2Skip[v], skips[v]);
+    }
+}
+
+void
 MemoryController::tickChannel(std::uint32_t ch, Cycle now)
 {
+    // Replay: nothing but time has changed since the recorded quiet
+    // tick, and no wait it met can have ended yet.
     ChannelState &c = channels_[ch];
+    if (c.events == c.quiet.events && now < c.quiet.wake) {
+        chargeSkips(c.quiet.skips);
+        stats_.inc(h_.replayedTicks);
+        return;
+    }
+    const std::uint64_t events = c.events;
+    wake_ = kNoCycle;
+    askedListener_ = false;
+    tickSkips_.fill(0);
+    scanChannel(ch, c, now);
+    chargeSkips(tickSkips_);
+    // Every command is an event, so an unchanged stamp means the tick
+    // issued nothing.  A listener query or a queued migration may
+    // change its answer with time at a cycle no wake source knows.
+    if (c.events == events && !askedListener_ && c.migCount == 0)
+        c.quiet = {events, wake_, tickSkips_};
+}
+
+void
+MemoryController::scanChannel(std::uint32_t ch, ChannelState &c, Cycle now)
+{
     if (manageRefresh(c, now))
         return;
     if (startMigration(c, now))

@@ -14,12 +14,16 @@
  * tick() is one serial pass over the channels in index order: each
  * channel delivers its completed reads, then issues at most one
  * command, notifying the mitigation inline when that command is an
- * ACT.
+ * ACT.  A channel tick that would only repeat its last quiet tick
+ * (no event since, no wait ended) adds that tick's skip counts
+ * instead of rescanning (docs/ARCHITECTURE.md, "Quiet-tick replay").
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
 #define SRS_MEMCTRL_CONTROLLER_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -199,6 +203,37 @@ class MemoryController
         std::uint32_t live = 0;
     };
 
+    /** Pass-2 verdict on a bank, from its oldest request. */
+    enum class Verdict : std::uint8_t
+    {
+        Busy,     ///< rank refreshing or bank blocked by a migration
+        Forced,   ///< forced-refresh mode: no new ACT on the rank
+        HitWait,  ///< open row still has a queued hit
+        PreWait,  ///< conflict, but the PRE is not yet legal
+        ActWait,  ///< closed, but the ACT is not yet legal
+        GoPre,    ///< conflict and the PRE is legal
+        GoAct,    ///< closed and the ACT is legal (row throttling aside)
+    };
+    /** Busy..ActWait: the verdicts whose requests are skipped */
+    static constexpr std::size_t kWaitVerdicts = 5;
+
+    /** p2_skip_* increments, indexed by wait verdict */
+    using SkipCounts = std::array<std::uint64_t, kWaitVerdicts>;
+
+    /**
+     * A recorded quiet tick: one that issued nothing, saw no event,
+     * asked the listener nothing and found no queued migration.  Until
+     * `wake`, and while the channel's event stamp still equals
+     * `events`, every tick would decide the same and only count the
+     * same skips, so it adds `skips` and returns.
+     */
+    struct QuietTick
+    {
+        std::uint64_t events = 0;
+        Cycle wake = 0;  ///< 0: nothing recorded
+        SkipCounts skips{};
+    };
+
     struct ChannelState
     {
         std::vector<Rank> ranks;
@@ -221,25 +256,20 @@ class MemoryController
         std::vector<std::uint64_t> openMask;
         /** queued-but-unstarted migration jobs across all banks */
         std::uint64_t migCount = 0;
+        /**
+         * Event stamp, bumped by whatever can change a tick's decision
+         * other than time: enqueue, retire, every command, refresh
+         * start, a refresh-debt increment, migration start and
+         * schedule, a drain toggle, and a revalidated translation that
+         * becomes a row hit.
+         */
+        std::uint64_t events = 0;
+        QuietTick quiet;
 
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
                             std::greater<>> pendingReads;
     };
-
-    /** Pass-2 verdict on a bank, from its oldest request. */
-    enum class Verdict : std::uint8_t
-    {
-        Busy,     ///< rank refreshing or bank blocked by a migration
-        Forced,   ///< forced-refresh mode: no new ACT on the rank
-        HitWait,  ///< open row still has a queued hit
-        PreWait,  ///< conflict, but the PRE is not yet legal
-        ActWait,  ///< closed, but the ACT is not yet legal
-        GoPre,    ///< conflict and the PRE is legal
-        GoAct,    ///< closed and the ACT is legal (row throttling aside)
-    };
-    /** Busy..ActWait: the verdicts whose requests are skipped */
-    static constexpr std::size_t kWaitVerdicts = 5;
 
     /** A go bank during the pass-2 age-ordered walk. */
     struct GoCursor
@@ -250,6 +280,11 @@ class MemoryController
 
     void drainCompletedReads(ChannelState &c, Cycle now);
     void tickChannel(std::uint32_t ch, Cycle now);
+    /** one full scheduling pass over a channel (at most one command) */
+    void scanChannel(std::uint32_t ch, ChannelState &c, Cycle now);
+    /** lower the current tick's wake cycle to @p at */
+    void wakeBy(Cycle at) { wake_ = std::min(wake_, at); }
+    void chargeSkips(const SkipCounts &skips);
     bool manageRefresh(ChannelState &c, Cycle now);
     bool startMigration(ChannelState &c, Cycle now);
     bool serviceQueue(std::uint32_t chIdx, ChannelState &c,
@@ -312,6 +347,12 @@ class MemoryController
      *  winner: schedulable open banks in pass 1, act-wait banks in
      *  pass 2 */
     std::vector<std::uint32_t> toCommit_;
+    /** earliest cycle at which a wait the current tick met can end */
+    Cycle wake_ = kNoCycle;
+    /** the current tick asked the listener whether an ACT may issue */
+    bool askedListener_ = false;
+    /** the current tick's p2_skip_* increments */
+    SkipCounts tickSkips_{};
 
     /** Interned counter handles for the per-command hot paths. */
     struct StatHandles
@@ -320,7 +361,7 @@ class MemoryController
             readsCompleted, readLatencyCycles, refreshes,
             forcedPrecharges, latentActivations, migrationBusyCycles,
             writesIssued, readsIssued, rowHits, rowConflicts,
-            activations, idleCloses, p2SkipThrottled;
+            activations, idleCloses, p2SkipThrottled, replayedTicks;
         /** requests skipped in pass 2, by their bank's wait verdict */
         StatSet::Handle p2Skip[kWaitVerdicts];
         StatSet::Handle migScheduled[4], migStarted[4];

@@ -73,8 +73,10 @@ struct ExperimentConfig
     /** Warmup cycles excluded implicitly (IPC uses the full window;
      *  warmup is kept small instead of tracked separately). */
     Cycle warmup = 0;
-    /** Scaled-down refresh interval for tractable runs (default:
-     *  1 ms at 3.2 GHz; thresholds stay unscaled — see DESIGN.md). */
+    /** Refresh interval, scaled down from the real 64 ms for
+     *  tractable runs (default: 1 ms at 3.2 GHz).  T_RH and the
+     *  thresholds derived from it are not scaled with it; ROADMAP.md
+     *  item 1 holds the open choice of rule. */
     Cycle epochLen = 3'200'000;
     /** Cores per simulated system (the paper evaluates 8). */
     std::uint32_t numCores = 8;

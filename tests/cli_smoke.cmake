@@ -50,6 +50,14 @@ run_expect_ok(perf --workload=blend:zipf:4096@s=1.1+attack@0.05
               --epoch=25000 --csv)
 run_expect_fail(perf --workload=blend:zipf:64@s=1 --mitigation=blockhammer
                 --cycles=60000 STDERR "workload generator 'blend:zipf:64@s=1'")
+# perf takes one value per system axis, parsed like a sweep's, so a
+# cell on another org or page policy runs on its own too.
+run_expect_ok(perf --workload=gups --mitigation=rrs --trh=1200 --rate=6
+              --cycles=60000 --epoch=25000 --org=1x2x8 --page-policy=open)
+run_expect_fail(perf --workload=gups --cycles=60000 --org=3x1x16
+                STDERR "unknown DRAM org '3x1x16'")
+run_expect_fail(perf --workload=gups --cycles=60000 --org=1x2x8,2x1x16
+                STDERR "perf runs one cell")
 
 # MIX points and batched Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200
@@ -211,6 +219,14 @@ foreach(redone orch_again orch_stitched)
     message(FATAL_ERROR "${redone}.csv differs from single-process sweep")
   endif()
 endforeach()
+# The re-run skipped every shard, and their host labels survive it.
+execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/orch_shards
+                OUTPUT_VARIABLE orch_monitor RESULT_VARIABLE orch_monitor_rc
+                ERROR_QUIET)
+if(NOT orch_monitor_rc EQUAL 0 OR NOT orch_monitor MATCHES "\"host\":\"local\""
+   OR orch_monitor MATCHES "\"host\":\"-\"")
+  message(FATAL_ERROR "re-orchestrate dropped the host labels:\n${orch_monitor}")
+endif()
 # --plan writes the manifest and the per-shard commands without
 # running anything; merging the unrun plan must fail (no shard CSVs).
 run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan

@@ -674,5 +674,329 @@ TEST(SchedulingOrder, SkipCountsStopAtTheWinnerInEveryRank)
     EXPECT_EQ(ctrl.stats().get("p2_skip_busy"), 1u);
 }
 
+
+// ---------------------------------------------------------------------
+// Quiet-tick replay.  A channel tick that issued nothing and saw no
+// event is repeated, counters only, until the earliest cycle at which
+// one of its waits can end.  In each scenario below only time changes
+// between the last full tick and the command, so a wake cycle one bus
+// tick late would move the command, and a wrong replay would change
+// the skip totals.
+// ---------------------------------------------------------------------
+
+/** One channel of two ranks x eight banks (flat banks 8-15 are rank 1). */
+struct ReplayRig
+{
+    explicit ReplayRig(PagePolicy policy, const DramTimingNs &ns = {},
+                       MemCtrlConfig cfg = {})
+        : timing(DramTiming::fromNs(ns)),
+          ctrl(org(), timing, withPolicy(cfg, policy))
+    {
+    }
+
+    static DramOrg
+    org()
+    {
+        DramOrg o;
+        o.channels = 1;
+        o.ranksPerChannel = 2;
+        o.banksPerRank = 8;
+        return o;
+    }
+
+    static MemCtrlConfig
+    withPolicy(MemCtrlConfig cfg, PagePolicy policy)
+    {
+        cfg.pagePolicy = policy;
+        return cfg;
+    }
+
+    void
+    read(std::uint32_t rank, std::uint32_t bank, RowId row,
+         std::uint32_t column = 0)
+    {
+        const Addr base = ctrl.addressMap().rowBaseAddr(0, rank, bank, row);
+        ctrl.enqueue(base + column * org().lineBytes, false, 0, now);
+    }
+
+    /** Start a migration on flat bank @p flat (takes one tick). */
+    void
+    block(std::uint32_t flat, Cycle duration)
+    {
+        MigrationJob job;
+        job.duration = duration;
+        ctrl.scheduleMigration(0, flat, job);
+        step();
+        ASSERT_TRUE(ctrl.bankAt(0, flat).blocked(now));
+    }
+
+    void
+    step()
+    {
+        ctrl.tick(now);
+        now += timing.busClock;
+    }
+
+    /** Tick until counter @p name grows; @return that tick's cycle. */
+    Cycle
+    until(const std::string &name)
+    {
+        const std::uint64_t before = stat(name);
+        for (const Cycle limit = now + 100'000; now < limit;) {
+            const Cycle at = now;
+            step();
+            if (stat(name) > before)
+                return at;
+        }
+        ADD_FAILURE() << name << " never grew";
+        return kNoCycle;
+    }
+
+    std::uint64_t
+    stat(const std::string &name) const
+    {
+        return ctrl.stats().get(name);
+    }
+
+    /** First controller tick at or after @p at. */
+    Cycle
+    busTickAt(Cycle at) const
+    {
+        const Cycle bc = timing.busClock;
+        return (at + bc - 1) / bc * bc;
+    }
+
+    /** Controller ticks strictly between cycles @p from and @p to. */
+    std::uint64_t
+    ticksBetween(Cycle from, Cycle to) const
+    {
+        return (to - from) / timing.busClock - 1;
+    }
+
+    DramTiming timing;
+    MemoryController ctrl;
+    Cycle now = 0;
+};
+
+TEST(QuietReplay, OwedRefreshWaitsForTheLastBanksActWindow)
+{
+    ReplayRig r(PagePolicy::Closed);
+    const Cycle tREFI = r.timing.tREFI;
+    // A read parked behind a long migration in rank 1 is skipped as
+    // busy on every tick; its wake lies beyond this test.
+    r.block(8, 3 * tREFI);
+    r.read(1, 0, 3);
+
+    // Open and idle-close a bank of rank 0 just before its first
+    // refresh falls due: the refresh then waits on that bank's ACT
+    // window, which nothing else in the channel waits on.
+    while (r.now < tREFI - 120)
+        r.step();
+    r.read(0, 2, 10);
+    const Cycle preAt = r.until("idle_closes");
+    const Cycle ready = r.ctrl.bankAt(0, 2).actReadyAt();
+    ASSERT_LT(preAt, tREFI);
+    ASSERT_GT(ready, tREFI + 2 * r.timing.busClock);
+    std::uint64_t busy = r.stat("p2_skip_busy");
+    const std::uint64_t replayed = r.stat("replayed_ticks");
+    const Cycle refreshAt = r.until("refreshes");
+    EXPECT_EQ(refreshAt, r.busTickAt(ready));
+    // The refresh tick runs no pass 2.
+    EXPECT_EQ(r.stat("p2_skip_busy") - busy,
+              r.ticksBetween(preAt, refreshAt));
+    EXPECT_GT(r.stat("replayed_ticks"), replayed);
+
+    // With every bank of rank 0 idle, its next refresh starts on the
+    // tick it falls due.
+    busy = r.stat("p2_skip_busy");
+    const Cycle nextAt = r.until("refreshes");
+    EXPECT_EQ(nextAt, r.busTickAt(2 * tREFI));
+    EXPECT_EQ(r.stat("p2_skip_busy") - busy,
+              r.ticksBetween(refreshAt, nextAt));
+}
+
+TEST(QuietReplay, RowHitWaitsForTheDataBus)
+{
+    ReplayRig r(PagePolicy::Open);
+    r.read(0, 0, 10);
+    r.read(0, 1, 20);
+    r.until("reads_issued");
+    r.until("reads_issued");
+    while (r.now < 1'000)
+        r.step();
+
+    // Two hits, one per open bank: the older one's burst holds the
+    // rank's data bus, so the younger one issues tBL later.
+    r.read(0, 0, 10, 1);
+    r.read(0, 1, 20, 1);
+    const Cycle firstAt = r.until("reads_issued");
+    ASSERT_EQ(firstAt, 1'000u);
+    ASSERT_LT(r.ctrl.bankAt(0, 1).rdReadyAt(), firstAt + r.timing.tBL);
+    const std::uint64_t hitWait = r.stat("p2_skip_hit_wait");
+    const Cycle secondAt = r.until("reads_issued");
+    EXPECT_EQ(secondAt, r.busTickAt(firstAt + r.timing.tBL));
+    EXPECT_EQ(r.stat("p2_skip_hit_wait") - hitWait,
+              r.ticksBetween(firstAt, secondAt));
+}
+
+TEST(QuietReplay, IdleCloseWaitsForTras)
+{
+    ReplayRig r(PagePolicy::Closed);
+    r.block(8, 10'000);
+    r.read(1, 0, 3);
+    r.read(0, 0, 10);
+    const Cycle actAt = r.until("activations");
+    const Cycle readAt = r.until("reads_issued");
+    ASSERT_LT(readAt + r.timing.tRTP, actAt + r.timing.tRAS);
+    const std::uint64_t busy = r.stat("p2_skip_busy");
+    const Cycle preAt = r.until("idle_closes");
+    EXPECT_EQ(preAt, r.busTickAt(actAt + r.timing.tRAS));
+    // Pass 2 also runs on the idle-close tick, before the close.
+    EXPECT_EQ(r.stat("p2_skip_busy") - busy,
+              r.ticksBetween(readAt, preAt) + 1);
+}
+
+TEST(QuietReplay, ConflictPrechargeWaitsForTras)
+{
+    ReplayRig r(PagePolicy::Open);
+    r.read(0, 0, 10);
+    const Cycle actAt = r.until("activations");
+    r.until("reads_issued");
+    const Cycle enqueuedAt = r.now;
+    r.read(0, 0, 11);
+    const std::uint64_t preWait = r.stat("p2_skip_pre_wait");
+    const Cycle preAt = r.until("row_conflicts");
+    EXPECT_EQ(preAt, r.busTickAt(actAt + r.timing.tRAS));
+    EXPECT_EQ(r.stat("p2_skip_pre_wait") - preWait,
+              (preAt - enqueuedAt) / r.timing.busClock);
+}
+
+TEST(QuietReplay, ActHeldByTrrd)
+{
+    ReplayRig r(PagePolicy::Open);
+    r.read(0, 0, 10);
+    r.read(0, 1, 20);
+    const Cycle firstAt = r.until("activations");
+    const std::uint64_t actWait = r.stat("p2_skip_act_wait");
+    const std::uint64_t hitWait = r.stat("p2_skip_hit_wait");
+    const Cycle secondAt = r.until("activations");
+    EXPECT_EQ(secondAt, r.busTickAt(firstAt + r.timing.tRRD));
+    // Bank 1's read waits on tRRD; bank 0's waits on its column
+    // window, and as the older request it counts on the ACT tick too.
+    const std::uint64_t between = r.ticksBetween(firstAt, secondAt);
+    EXPECT_EQ(r.stat("p2_skip_act_wait") - actWait, between);
+    EXPECT_EQ(r.stat("p2_skip_hit_wait") - hitWait, between + 1);
+}
+
+TEST(QuietReplay, FifthActHeldByTfaw)
+{
+    // A long tRCD keeps every read behind the fifth ACT, so only the
+    // four-activate window decides when it issues.
+    DramTimingNs ns;
+    ns.tRCD = 40.0;
+    ns.tRAS = 50.0;
+    ns.tRC = 64.0;
+    ReplayRig r(PagePolicy::Open, ns);
+    for (std::uint32_t b = 0; b < 5; ++b)
+        r.read(0, b, 10 + b);
+    const Cycle firstAt = r.until("activations");
+    Cycle fourthAt = firstAt;
+    for (int i = 1; i < 4; ++i)
+        fourthAt = r.until("activations");
+    ASSERT_GT(firstAt + r.timing.tFAW, fourthAt + r.timing.tRRD);
+    const std::uint64_t actWait = r.stat("p2_skip_act_wait");
+    const std::uint64_t hitWait = r.stat("p2_skip_hit_wait");
+    const Cycle fifthAt = r.until("activations");
+    EXPECT_EQ(fifthAt, r.busTickAt(firstAt + r.timing.tFAW));
+    EXPECT_EQ(r.stat("reads_issued"), 0u);
+    const std::uint64_t between = r.ticksBetween(fourthAt, fifthAt);
+    EXPECT_EQ(r.stat("p2_skip_act_wait") - actWait, between);
+    EXPECT_EQ(r.stat("p2_skip_hit_wait") - hitWait, 4 * (between + 1));
+}
+
+TEST(QuietReplay, ForcedRefreshPrechargeWaitsForTheColumnWindow)
+{
+    // Open page: bank 0 stays open, so refresh debt piles up to the
+    // forced limit.  A row hit just before the last increment pushes
+    // the bank's PRE window past it.
+    ReplayRig r(PagePolicy::Open);
+    const Cycle tREFI = r.timing.tREFI;
+    r.read(0, 0, 10);
+    r.until("reads_issued");
+    const Cycle dueAt = MemCtrlConfig{}.maxPostponedRefreshes * tREFI;
+    while (r.now < dueAt - 10)
+        r.step();
+    r.read(0, 0, 10, 1);
+    const Cycle hitAt = r.until("reads_issued");
+    // On the due tick rank 0 enters forced mode (and the idle rank 1
+    // takes its own refresh).
+    while (r.now <= dueAt)
+        r.step();
+    ASSERT_TRUE(r.ctrl.bankAt(0, 0).rowOpen());
+    const Cycle enqueuedAt = r.now;
+    ASSERT_GT(r.ctrl.bankAt(0, 0).preReadyAt(),
+              enqueuedAt + 2 * r.timing.busClock);
+    // Forced mode admits no ACT: a read to a closed bank waits.
+    r.read(0, 1, 20);
+    const Cycle preAt = r.until("forced_precharges");
+    EXPECT_EQ(preAt, r.busTickAt(hitAt + r.timing.tRTP));
+    // The forced PRE tick runs no pass 2.
+    EXPECT_EQ(r.stat("p2_skip_forced"),
+              (preAt - enqueuedAt) / r.timing.busClock);
+}
+
+TEST(QuietReplay, WriteVerdictSeesAReadHitRevalidatedLaterInTheTick)
+{
+    // Drain whenever a write is queued.  Draining serves the write
+    // queue first, so its pass 2 reads the read queue's hit count
+    // before the read queue's pass 1 revalidates that tick's stale
+    // reads.  The tick that turns a stale read into a hit must not be
+    // replayed, or the write would keep its pre-wait verdict.
+    MemCtrlConfig cfg;
+    cfg.writeHiWatermark = 1;
+    cfg.writeLoWatermark = 0;
+    ReplayRig r(PagePolicy::Open, {}, cfg);
+    r.read(0, 0, 10);
+    r.until("reads_issued");
+    const Cycle rdReady = r.ctrl.bankAt(0, 0).rdReadyAt();
+    ASSERT_GT(rdReady, r.now + 4 * r.timing.busClock);
+    // A conflicting write and a hit behind the open row.
+    r.ctrl.enqueue(r.ctrl.addressMap().rowBaseAddr(0, 0, 0, 11), true, 0,
+                   r.now);
+    r.read(0, 0, 10, 1);
+    r.step();
+    // A migration elsewhere in the channel makes every queued
+    // translation stale; starting it takes a tick.
+    MigrationJob job;
+    job.duration = 50;
+    r.ctrl.scheduleMigration(0, 5, job);
+    r.step();
+    const Cycle firstScan = r.now;
+    const std::uint64_t preWait = r.stat("p2_skip_pre_wait");
+    const std::uint64_t hitWait = r.stat("p2_skip_hit_wait");
+    const Cycle readAt = r.until("reads_issued");
+    EXPECT_EQ(readAt, r.busTickAt(rdReady));
+    // Only the first scan saw the write as a pre-wait; it counted the
+    // read as a hit-wait.  Every tick between counts both, and the
+    // read's own tick counts the write.
+    EXPECT_EQ(r.stat("p2_skip_pre_wait") - preWait, 1u);
+    EXPECT_EQ(r.stat("p2_skip_hit_wait") - hitWait,
+              2 * r.ticksBetween(firstScan, readAt) + 2);
+}
+
+TEST(QuietReplay, BankLeavingAMigrationActivatesAtOnce)
+{
+    ReplayRig r(PagePolicy::Closed);
+    r.block(3, 200);
+    const Cycle blockedUntil = r.ctrl.bankAt(0, 3).blockedUntil();
+    const Cycle enqueuedAt = r.now;
+    r.read(0, 3, 10);
+    const Cycle actAt = r.until("activations");
+    EXPECT_EQ(actAt, r.busTickAt(blockedUntil));
+    EXPECT_EQ(r.stat("p2_skip_busy"),
+              (actAt - enqueuedAt) / r.timing.busClock);
+    EXPECT_GT(r.stat("replayed_ticks"), 0u);
+}
+
 } // namespace
 } // namespace srs

@@ -166,6 +166,36 @@ namespace
 
 using namespace srs;
 
+/**
+ * Parse the system-axis flags (--page-policy/--preset/--org/--trc/
+ * --trcd/--trp/--trefi/--trfc), each a comma list, into @p grid (a
+ * SweepGrid or a SecurityGrid).
+ */
+template <class Grid>
+void
+parseAxisFlags(const Options &opts, Grid &grid)
+{
+    grid.pagePolicies.clear();
+    for (const std::string &p :
+         splitList(opts.getString("page-policy", "closed")))
+        grid.pagePolicies.push_back(pagePolicyFromName(p));
+    grid.presets.clear();
+    for (const std::string &p :
+         splitList(opts.getString("preset", "ddr4")))
+        grid.presets.push_back(dramPresetFromName(p));
+    grid.orgs = splitList(opts.getString("org", "2x1x16"));
+    grid.tRcOverrides =
+        splitUint32List(opts.getString("trc", "0"), "--trc");
+    grid.tRcdOverrides =
+        splitUint32List(opts.getString("trcd", "0"), "--trcd");
+    grid.tRpOverrides =
+        splitUint32List(opts.getString("trp", "0"), "--trp");
+    grid.tRefiOverrides =
+        splitUint32List(opts.getString("trefi", "0"), "--trefi");
+    grid.tRfcOverrides =
+        splitUint32List(opts.getString("trfc", "0"), "--trfc");
+}
+
 int
 cmdPerf(const Options &opts)
 {
@@ -181,6 +211,16 @@ cmdPerf(const Options &opts)
     exp.cycles = opts.getUint("cycles", 1'500'000);
     exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
     const bool csv = opts.getBool("csv", false);
+    // One value per system axis, parsed and validate()d like a
+    // sweep's; the baseline runs on the same axes.
+    SweepGrid axisGrid;
+    parseAxisFlags(opts, axisGrid);
+    const std::vector<SystemAxes> axisList = axisGrid.axes();
+    if (axisList.size() != 1) {
+        fatal("perf runs one cell: give --page-policy, --preset, --org, "
+              "--trc, --trcd, --trp, --trefi and --trfc one value each");
+    }
+    const SystemAxes &axes = axisList.front();
     opts.rejectUnknown();
 
     // The sweep's workload grammar: a profile name, zipf:/hotspot:/
@@ -210,10 +250,10 @@ cmdPerf(const Options &opts)
 
     const double baseIpc =
         simulate(makeSystemConfig(exp, MitigationKind::None, trh, rate,
-                                  tracker))
+                                  tracker, axes))
             .aggregateIpc;
     const RunResult res =
-        simulate(makeSystemConfig(exp, kind, trh, rate, tracker));
+        simulate(makeSystemConfig(exp, kind, trh, rate, tracker, axes));
     const double norm = baseIpc > 0.0 ? res.aggregateIpc / baseIpc : 1.0;
 
     if (csv) {
@@ -226,8 +266,9 @@ cmdPerf(const Options &opts)
                     static_cast<unsigned long long>(res.unswapSwaps),
                     static_cast<unsigned long long>(res.placeBacks));
     } else {
-        std::printf("workload %s under %s (T_RH %u, rate %u)\n",
-                    spec.label().c_str(), defense.c_str(), trh, rate);
+        std::printf("workload %s under %s (T_RH %u, rate %u, %s)\n",
+                    spec.label().c_str(), defense.c_str(), trh, rate,
+                    axes.field().c_str());
         std::printf("  ipc        %.4f (baseline %.4f)\n",
                     res.aggregateIpc, baseIpc);
         std::printf("  normalized %.4f\n", norm);
@@ -274,25 +315,7 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     for (const std::string &m :
          splitList(opts.getString("mitigations", "scale-srs")))
         grid.mitigations.push_back(mitigationKindFromName(m));
-    grid.pagePolicies.clear();
-    for (const std::string &p :
-         splitList(opts.getString("page-policy", "closed")))
-        grid.pagePolicies.push_back(pagePolicyFromName(p));
-    grid.presets.clear();
-    for (const std::string &p :
-         splitList(opts.getString("preset", "ddr4")))
-        grid.presets.push_back(dramPresetFromName(p));
-    grid.orgs = splitList(opts.getString("org", "2x1x16"));
-    grid.tRcOverrides =
-        splitUint32List(opts.getString("trc", "0"), "--trc");
-    grid.tRcdOverrides =
-        splitUint32List(opts.getString("trcd", "0"), "--trcd");
-    grid.tRpOverrides =
-        splitUint32List(opts.getString("trp", "0"), "--trp");
-    grid.tRefiOverrides =
-        splitUint32List(opts.getString("trefi", "0"), "--trefi");
-    grid.tRfcOverrides =
-        splitUint32List(opts.getString("trfc", "0"), "--trfc");
+    parseAxisFlags(opts, grid);
     grid.trhs =
         splitUint32List(opts.getString("trh", "1200"), "--trh");
     grid.swapRates =
@@ -667,25 +690,7 @@ int
 cmdSecurity(const Options &opts)
 {
     SecurityGrid grid;
-    grid.pagePolicies.clear();
-    for (const std::string &p :
-         splitList(opts.getString("page-policy", "closed")))
-        grid.pagePolicies.push_back(pagePolicyFromName(p));
-    grid.presets.clear();
-    for (const std::string &p :
-         splitList(opts.getString("preset", "ddr4")))
-        grid.presets.push_back(dramPresetFromName(p));
-    grid.orgs = splitList(opts.getString("org", "2x1x16"));
-    grid.tRcOverrides =
-        splitUint32List(opts.getString("trc", "0"), "--trc");
-    grid.tRcdOverrides =
-        splitUint32List(opts.getString("trcd", "0"), "--trcd");
-    grid.tRpOverrides =
-        splitUint32List(opts.getString("trp", "0"), "--trp");
-    grid.tRefiOverrides =
-        splitUint32List(opts.getString("trefi", "0"), "--trefi");
-    grid.tRfcOverrides =
-        splitUint32List(opts.getString("trfc", "0"), "--trfc");
+    parseAxisFlags(opts, grid);
     for (const std::string &d :
          splitList(opts.getString("defenses", "srs,rrs")))
         grid.defenses.push_back(securityDefenseFromName(d));
@@ -808,6 +813,8 @@ usage()
         "    --mitigation=KIND (scale-srs)\n"
         "    --trh=N (1200)  --rate=N (3)  --tracker=KIND\n"
         "    --cycles=N (1500000)  --epoch=N (cycles/2)  --csv\n"
+        "    --page-policy --preset --org --trc --trcd --trp --trefi\n"
+        "    --trfc: one value each, spelled as for sweep below\n"
         "\n"
         "  sweep        workload x system-axes x mitigation x TRH x\n"
         "               rate grid, one CSV row per cell,\n"
