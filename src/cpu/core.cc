@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace srs
@@ -30,6 +32,13 @@ Core::tick(Cycle now)
         if (rob_.size() >= cfg_.robSize || !fetchOne(now))
             break;
     }
+
+    // A full ROB fetches nothing, so the core sleeps until its head
+    // can retire.  A non-full one may fetch (or retry a rejected
+    // access) next cycle.
+    wakeAt_ = rob_.size() >= cfg_.robSize
+        ? std::max(now + 1, rob_.front().doneAt)
+        : now + 1;
 }
 
 bool
@@ -90,6 +99,9 @@ Core::complete(std::uint64_t token, Cycle now)
             SRS_ASSERT(e.doneAt == kNoCycle, "double completion");
             e.doneAt = now;
             e.token = 0;
+            // Only the head's completion can unblock retirement.
+            if (&e == &rob_.front())
+                wakeAt_ = std::min(wakeAt_, now);
             return;
         }
     }

@@ -85,6 +85,16 @@ class Core
     /** Complete the in-flight read tagged @p token. */
     void complete(std::uint64_t token, Cycle now);
 
+    /**
+     * First cycle at which tick() can change anything.  A tick that
+     * ends with a full ROB sets it to max(next cycle, the head's
+     * doneAt), which is kNoCycle while the head is a pending read;
+     * complete() of the head lowers it to the completion cycle.  Any
+     * other tick sets it to the next cycle.  Skipping the ticks before
+     * it is exact, and so is ticking every cycle.
+     */
+    Cycle wakeAt() const { return wakeAt_; }
+
     CoreId id() const { return id_; }
     std::uint64_t retiredInstrs() const { return retired_; }
     std::uint64_t memReads() const { return memReads_; }
@@ -113,6 +123,8 @@ class Core
     std::uint32_t gapLeft_ = 0;     ///< non-mem instrs left in record
     bool recordValid_ = false;
     bool memOpPendingIssue_ = false;///< record's mem op awaiting issue
+
+    Cycle wakeAt_ = 0;
 
     std::uint64_t nextToken_ = 1;
     std::uint64_t retired_ = 0;

@@ -51,7 +51,7 @@ SystemConfig::actMaxPerEpoch() const
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), epochLen_(cfg.effectiveEpochLen()),
       timing_(DramTiming::fromNs(cfg.timingNs)),
-      nextEpochAt_(epochLen_)
+      nextEpochAt_(epochLen_), coreTicksStat_(stats_.handle("core_ticks"))
 {
     cfg_.org.validate();
     ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_,
@@ -308,9 +308,16 @@ System::run(Cycle cycles)
 
     const Cycle end = now_ + cycles;
     const Cycle busClock = timing_.busClock;
+    std::uint64_t coreTicks = 0;
     while (now_ < end) {
-        for (auto &core : cores_)
-            core->tick(now_);
+        // A core whose full ROB waits on its head sleeps until the
+        // head can retire (Core::wakeAt); its ticks would be no-ops.
+        for (auto &core : cores_) {
+            if (now_ >= core->wakeAt()) {
+                core->tick(now_);
+                ++coreTicks;
+            }
+        }
         if (now_ % busClock == 0) {
             ctrl_->tick(now_);
             mitigation_->tick(now_);
@@ -322,6 +329,7 @@ System::run(Cycle cycles)
         drainPinWritebacks();
         ++now_;
     }
+    stats_.inc(coreTicksStat_, coreTicks);
 }
 
 double

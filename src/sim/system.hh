@@ -107,8 +107,10 @@ class System : public CoreMemoryInterface
     void setTrace(CoreId core, std::unique_ptr<TraceSource> trace);
 
     /**
-     * Advance the machine by @p cycles CPU cycles, ticking every core
-     * each cycle and the controller and mitigation on bus edges.
+     * Advance the machine by @p cycles CPU cycles, ticking each core
+     * on the cycles it is awake (Core::wakeAt) and the controller and
+     * mitigation on bus edges.  The `core_ticks` stat counts the core
+     * ticks executed.
      */
     void run(Cycle cycles);
 
@@ -178,6 +180,7 @@ class System : public CoreMemoryInterface
     std::uint64_t maxEpochActs_ = 0;
     std::vector<std::uint64_t> maxEpochActsPerBank_;
     StatSet stats_;
+    StatSet::Handle coreTicksStat_;
 };
 
 } // namespace srs

@@ -8,14 +8,21 @@ if(NOT DEFINED SRS_SIM)
   message(FATAL_ERROR "pass -DSRS_SIM=<path to srs_sim>")
 endif()
 
+# run_expect_ok(<args>... [STDOUT <regex>]): exit 0, and with STDOUT
+# the output must match <regex>.
 function(run_expect_ok)
-  execute_process(COMMAND ${SRS_SIM} ${ARGV}
+  cmake_parse_arguments(PARSE_ARGV 0 arg "" "STDOUT" "")
+  execute_process(COMMAND ${SRS_SIM} ${arg_UNPARSED_ARGUMENTS}
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
             "srs_sim ${ARGV} exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+  if(DEFINED arg_STDOUT AND NOT out MATCHES "${arg_STDOUT}")
+    message(FATAL_ERROR
+            "srs_sim ${ARGV} printed no '${arg_STDOUT}':\n${out}")
   endif()
 endfunction()
 
@@ -58,6 +65,14 @@ run_expect_fail(perf --workload=gups --cycles=60000 --org=3x1x16
                 STDERR "unknown DRAM org '3x1x16'")
 run_expect_fail(perf --workload=gups --cycles=60000 --org=1x2x8,2x1x16
                 STDERR "perf runs one cell")
+# perf seeds its traces as a sweep does (SweepRunner::cellSeed of
+# --seed, default the sweep's), so a golden row re-runs as itself:
+# org_sweep.csv row 13 locks ipc 0.301765, baseline 0.325560, 24
+# swaps and 16 place-backs.
+run_expect_ok(perf --workload=gups --mitigation=srs --trh=48 --rate=6
+              --page-policy=open --org=2x2x32 --cycles=200000
+              --epoch=40000 --csv
+              STDOUT "\ngups,srs,48,6,0\\.3018,0\\.3256,0\\.9269,24,0,16\n")
 
 # MIX points and batched Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200

@@ -333,6 +333,36 @@ TEST(ExperimentHarness, GeoMean)
     EXPECT_DOUBLE_EQ(geoMean({}), 0.0);
 }
 
+TEST(SystemIntegration, FullRobCoresSleepAndSlicingDoesNotMatter)
+{
+    // gups keeps every core's ROB full behind a DRAM read most of the
+    // time, so most core ticks are skipped.  The wake cycles live in
+    // the cores, so running in slices executes the same ticks.
+    ExperimentConfig exp = quickExp();
+    const SystemConfig cfg =
+        makeSystemConfig(exp, MitigationKind::Srs, 1200, 6);
+    const Cycle cycles = 200'000;
+    const auto run = [&](Cycle slice) {
+        auto sys = std::make_unique<System>(cfg);
+        for (CoreId c = 0; c < cfg.numCores; ++c) {
+            sys->setTrace(c, std::make_unique<SyntheticTrace>(
+                                 profileByName("gups"),
+                                 sys->controller().addressMap(), c,
+                                 exp.seed));
+        }
+        for (Cycle done = 0; done < cycles; done += slice)
+            sys->run(slice);
+        return sys;
+    };
+    const auto whole = run(cycles);
+    const auto sliced = run(50'000);
+    const std::uint64_t ticks = whole->stats().get("core_ticks");
+    EXPECT_GT(ticks, 0u);
+    EXPECT_LT(ticks, cfg.numCores * cycles / 2);
+    EXPECT_EQ(sliced->stats().get("core_ticks"), ticks);
+    EXPECT_DOUBLE_EQ(sliced->aggregateIpc(), whole->aggregateIpc());
+}
+
 TEST(SystemConfigTest, EpochDefaultsTo64ms)
 {
     SystemConfig cfg;

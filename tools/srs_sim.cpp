@@ -9,7 +9,9 @@
  *            takes one item of the sweep's --workloads grammar:
  *              srs_sim perf --workload=gcc --mitigation=scale-srs
  *                      --trh=1200 --rate=3 [--tracker=misra-gries]
- *                      [--cycles=N] [--epoch=N] [--csv]
+ *                      [--cycles=N] [--epoch=N] [--seed=S] [--csv]
+ *            (S is the sweep's base seed; the trace seed is derived
+ *            per workload exactly as in a sweep)
  *
  *   attack   evaluate the Juggernaut analytical model (and optional
  *            Monte-Carlo validation, batched across a thread pool)
@@ -210,6 +212,7 @@ cmdPerf(const Options &opts)
     ExperimentConfig exp;
     exp.cycles = opts.getUint("cycles", 1'500'000);
     exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
+    const std::uint64_t baseSeed = opts.getUint("seed", exp.seed);
     const bool csv = opts.getBool("csv", false);
     // One value per system axis, parsed and validate()d like a
     // sweep's; the baseline runs on the same axes.
@@ -227,6 +230,8 @@ cmdPerf(const Options &opts)
     // blend: generators or trace:<path>[;<path>…].  Everything is
     // resolved before the baseline runs, so bad input fails first.
     const WorkloadSpec spec = WorkloadSpec::parse(workload, exp.numCores);
+    // The sweep's per-cell seed, so a sweep row re-runs as itself.
+    exp.seed = SweepRunner::cellSeed(baseSeed, spec.label());
     const WorkloadProfile *profile =
         spec.kind == WorkloadKind::Synthetic ? &profileByName(spec.name)
                                              : nullptr;
@@ -813,6 +818,7 @@ usage()
         "    --mitigation=KIND (scale-srs)\n"
         "    --trh=N (1200)  --rate=N (3)  --tracker=KIND\n"
         "    --cycles=N (1500000)  --epoch=N (cycles/2)  --csv\n"
+        "    --seed=N: the sweep's base seed (its default too)\n"
         "    --page-policy --preset --org --trc --trcd --trp --trefi\n"
         "    --trfc: one value each, spelled as for sweep below\n"
         "\n"
